@@ -73,28 +73,39 @@ def _normalized_moves(engine: Engine, p: Process, extra_env: frozenset[Name],
     return moves
 
 
-def check(p: Process, q: Process, depth: int) -> Verdict:
+def check(p: Process, q: Process, depth: int,
+          engine: Optional[Engine] = None) -> Verdict:
     """Play the ``depth``-round strong bisimulation game between ``p``
-    and ``q`` over their shared environment of free channels."""
+    and ``q`` over their shared environment of free channels.
+
+    ``engine`` lets several checks of one query share their transitions;
+    by default the game gets its own.
+    """
     if depth < 1:
         raise ValueError("depth must be positive")
     p = canonicalize(p)
     q = canonicalize(q)
-    ce = _Game(p, q).play(p, q, depth)
+    if engine is None:
+        engine = Engine()
+    ce = _Game(p, q, engine).play(p, q, depth)
     if ce is None:
         return Verdict(True, depth)
     return Verdict(False, depth, tuple(ce))
 
 
 class _Game:
-    """One memoised bisimulation game; its caches die with it."""
+    """One memoised bisimulation game; its memo dies with it.
+
+    The memo stays per game: its entries hold only under the game's
+    ``base_env``.
+    """
 
     __slots__ = ("base_env", "engine", "memo")
 
-    def __init__(self, p: Process, q: Process):
+    def __init__(self, p: Process, q: Process, engine: Engine):
         self.base_env = frozenset(
             n for n in free_names(p) | free_names(q) if n.is_channel)
-        self.engine = Engine()
+        self.engine = engine
         self.memo: dict = {}
 
     def play(self, a: Process, b: Process, d: int):

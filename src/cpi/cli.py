@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``parse``, ``step``, ``bisim``, ``nonforward``, ``encode``.
-Exit codes: 0 success, 1 syntax error, 2 confidential-fragment violation.
+Exit codes: 0 success, 1 syntax error, 2 confidential-fragment violation,
+3 term too deep for the recursive walks.
 Set ``CPI_FRESH_START`` to an integer to pin the fresh-name counter for
 reproducible output.
 """
@@ -30,6 +31,7 @@ from .syntax import (
 EXIT_OK = 0
 EXIT_SYNTAX = 1
 EXIT_VIOLATION = 2
+EXIT_TOO_DEEP = 3
 
 
 def _read_source(path: str) -> str:
@@ -224,6 +226,10 @@ def main(argv: list[str] | None = None) -> int:
     except (SourceModeError, WitnessNotCpi, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SYNTAX
+    except RecursionError:
+        print("error: term too deep: its nesting exceeds Python's recursion "
+              f"limit ({sys.getrecursionlimit()})", file=sys.stderr)
+        return EXIT_TOO_DEEP
 
 
 if __name__ == "__main__":

@@ -12,11 +12,12 @@ restriction installs the handler for the restricted name locally.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .bisim import Verdict, check
-from .lts import TauAct, successors, tau_levels
+from .lts import Engine, TauAct, tau_levels
 from .parser import render
 from .syntax import (
     CpiError, Match, Name, NIL, Nil, Par, Prefix, Prefixed, Process,
@@ -72,25 +73,15 @@ def handler(k: Name) -> Process:
     return Par(reveal, broker)
 
 
-class _Fresh:
-    def __init__(self, start: int):
-        self.i = start
-
-    def take(self) -> int:
-        n = self.i
-        self.i += 1
-        return n
-
-
 def _rename_reserved_binders(p: Process) -> Process:
     """Rename reserved (``#``-prefixed) binders to surface identifiers so
     canonical forms can be fed back through the translation."""
     taken = {n.ident for n in free_names(p) | bound_names(p)}
-    counter = _Fresh(0)
+    counter = itertools.count()
 
     def fresh(kind: str) -> Name:
         while True:
-            ident = f"src{counter.take()}"
+            ident = f"src{next(counter)}"
             if ident not in taken:
                 taken.add(ident)
                 return Name(kind, ident)
@@ -148,7 +139,7 @@ def encode(p: Process, fresh_start: int = 0) -> Process:
             raise SourceModeError(
                 f"free reserved name {n.ident!r} in translation source")
     p = _rename_reserved_binders(p)
-    fr = _Fresh(fresh_start)
+    fr = itertools.count(fresh_start)
 
     def enc(t: Process) -> Process:
         match t:
@@ -173,9 +164,9 @@ def encode(p: Process, fresh_start: int = 0) -> Process:
                             f"polyadic send on {core.subject.ident!r}")
                     ta = renaming_policy(core.subject)
                     tb = renaming_policy(core.objects[0])
-                    e1 = chan(f"#e{fr.take()}")
-                    e2 = chan(f"#e{fr.take()}")
-                    y = var(f"#y{fr.take()}")
+                    e1 = chan(f"#e{next(fr)}")
+                    e2 = chan(f"#e{next(fr)}")
+                    y = var(f"#y{next(fr)}")
                     chain = Prefixed(
                         wrap_matches(guards, Send(ta.n_name, (e1,))),
                         Prefixed(Send(tb.m_name, (e1, e2)),
@@ -187,8 +178,8 @@ def encode(p: Process, fresh_start: int = 0) -> Process:
                         f"polyadic receive on {core.subject.ident!r}")
                 x = core.binders[0]
                 tx = renaming_policy(x)
-                xc = var(f"#w{fr.take()}")
-                dummy = var(f"#y{fr.take()}")
+                xc = var(f"#w{next(fr)}")
+                dummy = var(f"#y{next(fr)}")
                 return Prefixed(
                     wrap_matches(guards,
                                  Receive(core.subject,
@@ -210,11 +201,14 @@ def encode_with_handlers(p: Process, fresh_start: int = 0) -> Process:
     return Par(base, par(*(handler(k) for k in frees)))
 
 
-def source_reductions(p: Process) -> tuple[Process, ...]:
+def source_reductions(p: Process,
+                      engine: Optional[Engine] = None) -> tuple[Process, ...]:
     """The one-step internal reducts of the closed source term ``p``."""
     if free_names(p):
         raise SourceModeError("reduction analysis needs a closed source term")
-    return tuple(tr.target for tr in successors(p, include_inputs=False)
+    if engine is None:
+        engine = Engine()
+    return tuple(tr.target for tr in engine.successors(p, include_inputs=False)
                  if isinstance(tr.action, TauAct))
 
 
@@ -260,17 +254,21 @@ def check_completeness(p: Process, tau_budget: int = 12,
     for one bisimilar, up to ``depth``, to the translation of ``q``.
 
     The report records the tau distance and the witness state per reduct.
+    The check is one query: its tau closure and all of its games share
+    one engine, so no state's transitions are computed twice.
     """
+    engine = Engine()
     p = canonicalize(p)
     enc_p = encode_with_handlers(p)
-    pending = {q: encode_with_handlers(q) for q in source_reductions(p)}
+    pending = {q: encode_with_handlers(q)
+               for q in source_reductions(p, engine)}
     results: dict[Process, EncodingReport] = {}
-    for steps, level in enumerate(tau_levels(enc_p, tau_budget)):
+    for steps, level in enumerate(tau_levels(enc_p, tau_budget, engine)):
         if not pending:
             break
         for state in level:
             for q, enc_q in list(pending.items()):
-                v = check(state, enc_q, depth)
+                v = check(state, enc_q, depth, engine)
                 if v.bisimilar:
                     results[q] = EncodingReport(p, q, True, steps, state, v)
                     del pending[q]

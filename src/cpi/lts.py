@@ -181,7 +181,10 @@ class Engine:
     Create one engine per top-level query (a bisimulation game, a trace
     search, a tau closure) and drop it afterwards: the caches then hold
     that query's states only, and no answer depends on what ran earlier
-    in the process.
+    in the process.  A completeness check is one query: its tau closure
+    and all of its games share one engine.  Sharing changes no answer,
+    since every cache is keyed by the canonical state, the input
+    environment and the input flag.
     """
 
     __slots__ = ("_succ_cache", "_input_cache", "_trans_cache")
@@ -415,9 +418,14 @@ class TauReachable:
                 "budget_exceeded": self.exceeded}
 
 
-def tau_levels(p: Process, budget: int):
-    """Yield the new canonical states found at each tau depth 0..budget."""
-    engine = Engine()
+def tau_levels(p: Process, budget: int, engine: Optional[Engine] = None):
+    """Yield the new canonical states found at each tau depth 0..budget.
+
+    ``engine`` lets the caller share one engine with later work on the
+    same query; by default the closure gets its own.
+    """
+    if engine is None:
+        engine = Engine()
     state = canonicalize(p)
     seen = {state}
     frontier = [state]
@@ -438,13 +446,14 @@ def tau_levels(p: Process, budget: int):
 
 def tau_reachable(p: Process, budget: int) -> TauReachable:
     """All processes reachable by at most ``budget`` tau steps."""
-    levels = list(tau_levels(p, budget))
+    engine = Engine()
+    levels = list(tau_levels(p, budget, engine))
     states = frozenset(s for level in levels for s in level)
     exceeded = False
     if len(levels) == budget + 1:
         for s in levels[-1]:
             if any(isinstance(tr.action, TauAct) and tr.target not in states
-                   for tr in successors(s, include_inputs=False)):
+                   for tr in engine.successors(s, include_inputs=False)):
                 exceeded = True
                 break
     return TauReachable(states, budget, exceeded)

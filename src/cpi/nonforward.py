@@ -64,16 +64,10 @@ def _free_output_objects_of(action: Action) -> frozenset[Name]:
     return frozenset()
 
 
-def check_nonforwarding(p: Process, depth: int,
-                        use_fo: bool = False) -> NFVerdict:
+def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
     """Search all traces of length at most ``depth`` for a forwarding
     pattern: a channel received while absent from the free names, later
-    sent as a free output object.
-
-    With ``use_fo=True`` the receive condition is weakened to absence
-    from the free output objects (the strengthened static form); the
-    default matches the behavioral definition (absence from free names).
-    """
+    sent as a free output object."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     engine = Engine()
@@ -84,11 +78,7 @@ def check_nonforwarding(p: Process, depth: int,
     for _level in range(depth):
         nxt = []
         for state, watched, trace in frontier:
-            if use_fo:
-                from .syntax import free_output_objects
-                absent = lambda n: n not in free_output_objects(state)
-            else:
-                absent = lambda n: n not in free_names(state)
+            free = free_names(state)
             watch_map = dict(watched)
             for tr in engine.successors(state):
                 emitted = _free_output_objects_of(tr.action)
@@ -99,7 +89,7 @@ def check_nonforwarding(p: Process, depth: int,
                 if isinstance(tr.action, InAct):
                     extra = tuple(
                         (o, len(trace)) for o in tr.action.objects
-                        if o.is_channel and absent(o) and o not in watch_map)
+                        if o.is_channel and o not in free and o not in watch_map)
                     if extra:
                         new_watch = tuple(sorted(
                             set(watched) | set(extra),

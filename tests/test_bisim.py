@@ -12,7 +12,7 @@ from cpi.bisim import (
     ConstructionError, check, check_proposition1_instance, law_suite,
 )
 from cpi.gen import random_cpi_process
-from cpi.lts import InAct, OutAct, TauAct
+from cpi.lts import Engine, InAct, OutAct, TauAct
 from cpi.parser import parse
 from cpi.syntax import NIL, Par, Prefixed, Receive, Send, chan, var
 
@@ -142,3 +142,22 @@ def test_memoization_consistency():
         v_hi = check(p, q, 4)
         if v_lo.bisimilar is False:
             assert v_hi.bisimilar is False
+
+
+def test_shared_engine_does_not_change_verdicts():
+    # one engine reused across many checks, in two orders, answers as a
+    # fresh engine per check does, counterexamples included
+    rng = random.Random(404)
+    pairs = []
+    while len(pairs) < 99:
+        p = random_cpi_process(rng, rng.randint(1, 5), repl_weight=0.05)
+        q = random_cpi_process(rng, rng.randint(1, 5), repl_weight=0.05)
+        pairs += [(p, q), (Par(p, q), Par(q, p)), (Par(p, q), p)]
+    fresh = [check(p, q, 3) for p, q in pairs]
+    assert any(v.bisimilar for v in fresh)
+    assert any(not v.bisimilar for v in fresh)
+    for order in (list(range(len(pairs))), list(reversed(range(len(pairs))))):
+        engine = Engine()
+        for i in order:
+            p, q = pairs[i]
+            assert check(p, q, 3, engine) == fresh[i], i

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cpi.cli import main
+from cpi.cli import EXIT_TOO_DEEP, main
 
 
 def run_cli(args, stdin=""):
@@ -117,3 +117,15 @@ def test_main_callable_directly(capsys):
     code = main(["bisim", "--laws", "--instances", "1", "--depth", "1"])
     assert code == 0
     assert "mutant-par-absorb" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, text", [
+    ("encode", "a!<b>." * 170 + "0\n"),
+    ("parse", "a!<b>." * 1000 + "0\n"),
+    ("parse", " | ".join(["a!<b>.0"] * 1000) + "\n"),
+], ids=["encode-170-prefixes", "parse-1000-prefixes", "parse-1000-way-par"])
+def test_term_too_deep_exit_3(command, text):
+    code, out, err = run_cli([command, "-"], text)
+    assert code == EXIT_TOO_DEEP == 3 and out == ""
+    assert err.startswith("error: term too deep")
+    assert len(err.splitlines()) == 1

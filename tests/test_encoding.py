@@ -1,20 +1,32 @@
 """Forwarding-free translation: structure, validity, homomorphism,
 name invariance, reduction completeness."""
 
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from cpi.bisim import check
 from cpi.encoding import (
-    SourceModeError, check_completeness, encode, encode_with_handlers,
-    handler, renaming_policy, source_reductions,
+    CompletenessReport, EncodingReport, SourceModeError, check_completeness,
+    encode, encode_with_handlers, handler, renaming_policy, source_reductions,
 )
 from cpi.gen import random_pi_process
+from cpi.lts import tau_levels
 from cpi.parser import PI, parse, render
 from cpi.syntax import (
-    Par, Prefixed, ReservedNameError, Restrict, alpha_equivalent,
-    canonicalize, chan, free_names, substitute, validate_cpi, var,
+    Par, Prefixed, Receive, ReservedNameError, Restrict, Send,
+    alpha_equivalent, canonicalize, chan, free_names, substitute,
+    validate_cpi, var,
 )
+
+ENCODING_CORPUS = sorted(
+    (Path(__file__).resolve().parent.parent / "corpus" / "encoding")
+    .glob("*.cpi"))
+REPLICATED_CONTINUATION = "new a,b in (a!<b>.0 | a?(x).!x!<a>.0)"
 
 
 def test_renaming_policy():
@@ -142,3 +154,67 @@ def test_completeness_report_json():
                              tau_budget=8, depth=3)
     j = rep.to_json()
     assert j["ok"] and j["reducts"][0]["tau_steps"] == 6
+
+
+def _reference_completeness(p, tau_budget, depth):
+    """check_completeness rebuilt from the public closure and game, with
+    a fresh engine for the closure and for every game."""
+    p = canonicalize(p)
+    pending = {q: encode_with_handlers(q) for q in source_reductions(p)}
+    results = {}
+    levels = tau_levels(encode_with_handlers(p), tau_budget)
+    for steps, level in enumerate(levels):
+        if not pending:
+            break
+        for state in level:
+            for q, enc_q in list(pending.items()):
+                v = check(state, enc_q, depth)
+                if v.bisimilar:
+                    results[q] = EncodingReport(p, q, True, steps, state, v)
+                    del pending[q]
+    for q in pending:
+        results[q] = EncodingReport(p, q, False, None, None, None)
+    ordered = tuple(results[q] for q in sorted(results, key=render))
+    return CompletenessReport(p, tau_budget, depth, ordered)
+
+
+def _completeness_sources():
+    """The encoding corpus, one source with a replicated continuation,
+    and seeded closed sources ``new a,b,c,d in (a!<b>.C1 | a?(x).C2)``."""
+    sources = [parse(f.read_text(), mode=PI) for f in ENCODING_CORPUS]
+    sources.append(parse(REPLICATED_CONTINUATION, mode=PI))
+    rng = random.Random(4242)
+    pool = tuple(chan(c) for c in "abcd")
+    a, b, x = pool[0], pool[1], var("x")
+    for _ in range(20):
+        c1 = random_pi_process(rng, rng.randint(1, 3), repl_weight=0.0)
+        c2 = random_pi_process(rng, rng.randint(1, 3), free_variables=(x,),
+                               repl_weight=0.0)
+        sources.append(Restrict(pool, Par(Prefixed(Send(a, (b,)), c1),
+                                          Prefixed(Receive(a, (x,)), c2))))
+    return sources
+
+
+@pytest.mark.parametrize("depth", [4, 7])
+def test_completeness_shared_engine_matches_fresh_engines(depth):
+    sources = _completeness_sources()
+    assert len(ENCODING_CORPUS) == 6
+    for p in sources:
+        want = _reference_completeness(p, 12, depth).to_json()
+        assert check_completeness(p, 12, depth).to_json() == want, render(p)
+
+
+def test_completeness_independent_of_history():
+    # the reports are the same in a fresh process as after other checks
+    texts = [f.read_text() for f in ENCODING_CORPUS]
+    script = ("import json, sys; from cpi.encoding import check_completeness;"
+              " from cpi.parser import PI, parse; print(json.dumps("
+              "[check_completeness(parse(t, mode=PI), 12, 4).to_json()"
+              " for t in json.load(sys.stdin)]))")
+    fresh = subprocess.run([sys.executable, "-c", script], check=True,
+                           input=json.dumps(texts), capture_output=True,
+                           text=True).stdout
+    check_completeness(parse(REPLICATED_CONTINUATION, mode=PI), 12, 4)
+    here = [check_completeness(parse(t, mode=PI), 12, 4).to_json()
+            for t in texts]
+    assert here == json.loads(fresh)

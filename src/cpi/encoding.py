@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bisim import Verdict, check
-from .lts import Engine, TauAct, tau_levels
+from .lts import Engine, TauAct, successors, tau_levels
 from .parser import render
 from .syntax import (
     CpiError, Match, Name, NIL, Nil, Par, Prefix, Prefixed, Process,
@@ -201,14 +201,11 @@ def encode_with_handlers(p: Process, fresh_start: int = 0) -> Process:
     return Par(base, par(*(handler(k) for k in frees)))
 
 
-def source_reductions(p: Process,
-                      engine: Optional[Engine] = None) -> tuple[Process, ...]:
+def source_reductions(p: Process) -> tuple[Process, ...]:
     """The one-step internal reducts of the closed source term ``p``."""
     if free_names(p):
         raise SourceModeError("reduction analysis needs a closed source term")
-    if engine is None:
-        engine = Engine()
-    return tuple(tr.target for tr in engine.successors(p, include_inputs=False)
+    return tuple(tr.target for tr in successors(p, include_inputs=False)
                  if isinstance(tr.action, TauAct))
 
 
@@ -257,12 +254,11 @@ def check_completeness(p: Process, tau_budget: int = 12,
     The check is one query: its tau closure and all of its games share
     one engine, so no state's transitions are computed twice.
     """
-    engine = Engine()
     p = canonicalize(p)
     enc_p = encode_with_handlers(p)
-    pending = {q: encode_with_handlers(q)
-               for q in source_reductions(p, engine)}
+    pending = {q: encode_with_handlers(q) for q in source_reductions(p)}
     results: dict[Process, EncodingReport] = {}
+    engine = Engine()
     for steps, level in enumerate(tau_levels(enc_p, tau_budget, engine)):
         if not pending:
             break

@@ -12,7 +12,7 @@ from .syntax import (
     Prefixed, Process, Receive, Repl, ReservedNameError, Restrict, Send,
     SortError, SubstitutionDomainError, ValidationReport, alpha_equivalent,
     bound_names, canonicalize, chan, fnn, free_names, free_output_objects,
-    par, restrict, set_fresh_origin, substitute, validate_cpi, var,
+    par, restrict, substitute, validate_cpi, var,
 )
 from .parser import CPI, PI, CpiSyntaxError, parse, render
 from .lts import (

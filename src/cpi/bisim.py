@@ -4,8 +4,10 @@ The checker plays the d-round symmetric bisimulation game over canonical
 state pairs, with memoization.  Bound-output labels are normalized on
 both sides (renamed away from everything free in either process) before
 comparison, which realizes the freshness side condition on bound names.
-A positive answer is a bounded certificate, never a proof of full
-bisimilarity.
+The last round compares label sets only: any reply to it survives, so
+its targets are never built.  A positive answer is a bounded
+certificate, never a proof of full bisimilarity, and means the same as
+if the last round had been expanded in full.
 """
 
 from __future__ import annotations
@@ -55,28 +57,56 @@ class Verdict:
         return f"not bisimilar: {steps}"
 
 
+def _normal_label(a: Action,
+                  avoid_idents: set[str]) -> tuple[Action, Optional[dict]]:
+    """``a`` with its bound-output names renamed to a deterministic
+    reserved sequence computed from ``avoid_idents``, and that renaming
+    (None when ``a`` binds nothing)."""
+    if not isinstance(a, BoundOutAct):
+        return a, None
+    fresh = _fresh_channels(avoid_idents, len(a.bound), tag="b")
+    m = dict(zip(a.bound, fresh))
+    return BoundOutAct(a.subject, tuple(m.get(o, o) for o in a.objects),
+                       tuple(fresh)), m
+
+
 def _normalized_moves(engine: Engine, p: Process, extra_env: frozenset[Name],
-                      avoid: frozenset[Name]) -> list[tuple[Action, Process]]:
-    """Successor moves of ``p`` with bound-output names renamed to a
-    deterministic reserved sequence computed from ``avoid``."""
+                      avoid_idents: set[str]) -> list[tuple[Action, Process]]:
+    """Successor moves of ``p`` with normalized labels."""
     moves = []
-    avoid_idents = {n.ident for n in avoid}
     for tr in engine.successors(p, extra_env):
-        a, t = tr.action, tr.target
-        if isinstance(a, BoundOutAct):
-            fresh = _fresh_channels(avoid_idents, len(a.bound), tag="b")
-            m = dict(zip(a.bound, fresh))
-            a = BoundOutAct(a.subject, tuple(m.get(o, o) for o in a.objects),
-                            tuple(fresh))
-            t = canonicalize(substitute_free(t, m))
+        a, m = _normal_label(tr.action, avoid_idents)
+        t = tr.target if m is None else canonicalize(substitute_free(tr.target, m))
         moves.append((a, t))
     return moves
+
+
+def _normalized_labels(engine: Engine, p: Process, extra_env: frozenset[Name],
+                       avoid_idents: set[str]) -> dict:
+    """The distinct normalized labels of ``p``'s moves, in move order."""
+    return dict.fromkeys(_normal_label(a, avoid_idents)[0]
+                         for a in engine.labels(p, extra_env))
+
+
+def _unmatched_label(labels_a: dict, labels_b: dict):
+    """The attack that wins a last round on labels alone: the first label
+    of ``a`` that ``b`` lacks, else the first of ``b`` that ``a`` lacks."""
+    for act in labels_a:
+        if act not in labels_b:
+            return [(act, "right")]
+    for act in labels_b:
+        if act not in labels_a:
+            return [(act, "left")]
+    return None
 
 
 def check(p: Process, q: Process, depth: int,
           engine: Optional[Engine] = None) -> Verdict:
     """Play the ``depth``-round strong bisimulation game between ``p``
     and ``q`` over their shared environment of free channels.
+
+    The last round reads labels only (:meth:`lts.Engine.labels`); the
+    verdict and counterexample are those of the game that expands it.
 
     ``engine`` lets several checks of one query share their transitions;
     by default the game gets its own.
@@ -111,7 +141,7 @@ class _Game:
     def play(self, a: Process, b: Process, d: int):
         """None if the defender survives ``d`` rounds from ``(a, b)``,
         else the attacker's winning moves."""
-        if d == 0 or a == b:
+        if a == b:
             return None
         key = (a, b, d)
         memo = self.memo
@@ -119,7 +149,15 @@ class _Game:
             return memo[key]
         env = self.base_env | frozenset(
             n for n in free_names(a) | free_names(b) if n.is_channel)
-        avoid = env | free_names(a) | free_names(b)
+        avoid = {n.ident for n in env | free_names(a) | free_names(b)}
+        if d == 1:
+            # No round is left after this one, so every reply survives
+            # and only a label the other side lacks can win it.
+            result = _unmatched_label(
+                _normalized_labels(self.engine, a, env, avoid),
+                _normalized_labels(self.engine, b, env, avoid))
+            memo[key] = result
+            return result
         moves_a = _normalized_moves(self.engine, a, env, avoid)
         moves_b = _normalized_moves(self.engine, b, env, avoid)
         by_label_a: dict = {}

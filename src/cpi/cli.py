@@ -3,15 +3,15 @@
 Subcommands: ``parse``, ``step``, ``bisim``, ``nonforward``, ``encode``.
 Exit codes: 0 success, 1 syntax error, 2 confidential-fragment violation,
 3 term too deep for the recursive walks.
-Set ``CPI_FRESH_START`` to an integer to pin the fresh-name counter for
-reproducible output.
+Output does not depend on what ran earlier in the process, so no
+setting is needed to reproduce it; ``CPI_FRESH_START``, which once pinned
+a fresh-name counter, is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,9 +24,7 @@ from .nonforward import (
     WitnessNotCpi, check_nonforwarding, static_guarantee, witness_check,
 )
 from .parser import CPI, PI, CpiSyntaxError, parse, render
-from .syntax import (
-    CpiViolation, SortError, set_fresh_origin, validate_cpi,
-)
+from .syntax import CpiViolation, SortError, validate_cpi
 
 EXIT_OK = 0
 EXIT_SYNTAX = 1
@@ -211,9 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    origin = os.environ.get("CPI_FRESH_START")
-    if origin is not None:
-        set_fresh_origin(int(origin))
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -185,14 +185,22 @@ class Engine:
     and all of its games share one engine.  Sharing changes no answer,
     since every cache is keyed by the canonical state, the input
     environment and the input flag.
+
+    A client that needs only the labels of a state (the last round of a
+    bounded game, the last level of a bounded search) asks
+    :meth:`labels`, which reads the same rule-engine cache as
+    :meth:`successors` but builds no canonical targets.  The transition
+    relation is the same either way, so a bounded answer built on labels
+    means what it would mean on full successors.
     """
 
-    __slots__ = ("_succ_cache", "_input_cache", "_trans_cache")
+    __slots__ = ("_succ_cache", "_input_cache", "_trans_cache", "_label_cache")
 
     def __init__(self) -> None:
         self._succ_cache: dict = {}
         self._input_cache: dict = {}
         self._trans_cache: dict = {}
+        self._label_cache: dict = {}
 
     def successors(self, p: Process, environment: Iterable[Name] = (),
                    include_inputs: bool = True) -> tuple[Transition, ...]:
@@ -204,6 +212,28 @@ class Engine:
         hit = self._trans_cache.get(key)
         if hit is None:
             hit = self._trans_cache[key] = self._transitions(p, env, include_inputs)
+        return hit
+
+    def labels(self, p: Process,
+               environment: Iterable[Name] = ()) -> tuple[Action, ...]:
+        """The distinct actions of :meth:`successors` ``(p, environment)``,
+        in the order of their first transition there."""
+        p = canonicalize(p)
+        env = (frozenset(n for n in free_names(p) if n.is_channel)
+               | frozenset(environment))
+        key = (p, env)
+        hit = self._label_cache.get(key)
+        if hit is not None:
+            return hit
+        trans = self._trans_cache.get((p, env, True))
+        if trans is not None:
+            hit = tuple(dict.fromkeys(tr.action for tr in trans))
+        else:
+            # successors sorts by the action's key first, and the key is
+            # one-to-one here: every name in an action is a channel.
+            actions = {a for a, _, _ in self._succ(p, env, True)}
+            hit = tuple(sorted(actions, key=_action_sort_key))
+        self._label_cache[key] = hit
         return hit
 
     def _transitions(self, p: Process, env: frozenset[Name],

@@ -3,8 +3,11 @@
 A process forwards when some trace receives a channel that was not free
 beforehand and later emits that channel as an output object.  The
 analyzer explores all traces up to a depth bound, breadth-first, with
-canonical-state deduplication; confidential-fragment membership gives
-the same guarantee statically.
+canonical-state deduplication; its last level reads only the labels of
+its states, since their targets would start a level that is never
+searched, and a satisfied verdict covers the same traces as a full
+expansion would.  Confidential-fragment membership gives the same
+guarantee statically.
 """
 
 from __future__ import annotations
@@ -64,6 +67,16 @@ def _free_output_objects_of(action: Action) -> frozenset[Name]:
     return frozenset()
 
 
+def _forwarded(action: Action, watch_map: dict,
+               trace: tuple[Action, ...]) -> Optional[NFViolation]:
+    """The violation that ``action`` completes after ``trace``, if any."""
+    emitted = _free_output_objects_of(action) & watch_map.keys()
+    if not emitted:
+        return None
+    l = min(emitted, key=lambda n: n.ident)
+    return NFViolation(trace + (action,), watch_map[l], len(trace), l)
+
+
 def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
     """Search all traces of length at most ``depth`` for a forwarding
     pattern: a channel received while absent from the free names, later
@@ -75,16 +88,15 @@ def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
     # node: (state, watched: tuple[(channel, receive_index)], trace)
     frontier = [(root, (), ())]
     seen = {(root, ())}
-    for _level in range(depth):
+    for _level in range(depth - 1):
         nxt = []
         for state, watched, trace in frontier:
             free = free_names(state)
             watch_map = dict(watched)
             for tr in engine.successors(state):
-                emitted = _free_output_objects_of(tr.action)
-                for l in sorted(emitted & set(watch_map), key=lambda n: n.ident):
-                    return NFVerdict(False, depth, NFViolation(
-                        trace + (tr.action,), watch_map[l], len(trace), l))
+                violation = _forwarded(tr.action, watch_map, trace)
+                if violation is not None:
+                    return NFVerdict(False, depth, violation)
                 new_watch = watched
                 if isinstance(tr.action, InAct):
                     extra = tuple(
@@ -102,6 +114,17 @@ def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
         frontier = nxt
         if not frontier:
             break
+    if depth:
+        # The last step can only complete a violation, so it reads labels:
+        # its targets would start a level that is never searched.
+        for state, watched, trace in frontier:
+            if not watched:
+                continue
+            watch_map = dict(watched)
+            for act in engine.labels(state):
+                violation = _forwarded(act, watch_map, trace)
+                if violation is not None:
+                    return NFVerdict(False, depth, violation)
     return NFVerdict(True, depth)
 
 

@@ -390,18 +390,13 @@ def fnn(p: Process) -> frozenset[Name]:
 # ---------------------------------------------------------------------------
 # Fresh names and substitution
 
-_fresh_counter = itertools.count()
-
-
-def set_fresh_origin(n: int) -> None:
-    """Restart the global fresh-name counter (for reproducible runs)."""
-    global _fresh_counter
-    _fresh_counter = itertools.count(n)
-
-
-def fresh_like(n: Name) -> Name:
-    """A reserved name of the same sort, guaranteed new in this run."""
-    return Name(n.kind, f"#s{next(_fresh_counter)}")
+def fresh_like(n: Name, avoid: set[str]) -> Name:
+    """The first reserved name ``#s0, #s1, ...`` of ``n``'s sort whose
+    identifier is not in ``avoid``."""
+    j = 0
+    while f"#s{j}" in avoid:
+        j += 1
+    return Name(n.kind, f"#s{j}")
 
 
 def substitute(p: Process, sigma: Mapping[Name, Name]) -> Process:
@@ -409,7 +404,9 @@ def substitute(p: Process, sigma: Mapping[Name, Name]) -> Process:
 
     ``sigma`` may only send names to channels (the semantics substitutes
     received channels for input binders).  Binders that collide with the
-    range are renamed to reserved fresh names.  Raises
+    range are renamed to reserved names that are fresh for their scope,
+    chosen from the term and ``sigma`` alone, so the result does not
+    depend on what ran earlier in the process.  Raises
     :class:`SubstitutionDomainError` if a binder occurrence is in the
     domain.
     """
@@ -430,15 +427,24 @@ def substitute_free(p: Process, sigma: Mapping[Name, Name]) -> Process:
 
 
 def _rebind(binders: tuple[Name, ...], m: dict[Name, Name],
-            domain: frozenset[Name]) -> tuple[tuple[Name, ...], dict[Name, Name]]:
+            domain: frozenset[Name],
+            scope: Process) -> tuple[tuple[Name, ...], dict[Name, Name]]:
+    """Substitute under ``binders``, which bind in ``scope``: a binder
+    that would capture a name of ``m``'s range is renamed apart from the
+    names free in ``scope``, the range and the other binders."""
     m2 = dict(m)
     out = []
     taken = set(m2.values())
+    avoid = None
     for b in binders:
         if b in domain:
             raise SubstitutionDomainError(f"substitution remaps binder {b!r}")
         if b in taken:
-            b2 = fresh_like(b)
+            if avoid is None:
+                avoid = {n.ident for n in free_names(scope) | taken}
+                avoid.update(n.ident for n in binders)
+            b2 = fresh_like(b, avoid)
+            avoid.add(b2.ident)
             m2[b] = b2
             out.append(b2)
         else:
@@ -451,17 +457,17 @@ def _subst_name(n: Name, m: Mapping[Name, Name]) -> Name:
     return m.get(n, n)
 
 
-def _subst_prefix(pre: Prefix, m: dict[Name, Name],
-                  domain: frozenset[Name]) -> tuple[Prefix, dict[Name, Name]]:
+def _subst_prefix(pre: Prefix, m: dict[Name, Name], domain: frozenset[Name],
+                  cont: Process) -> tuple[Prefix, dict[Name, Name]]:
     match pre:
         case Send(subject=s, objects=objs):
             return Send(_subst_name(s, m), tuple(_subst_name(o, m) for o in objs)), m
         case Receive(subject=s, binders=bs):
             s2 = _subst_name(s, m)
-            bs2, m2 = _rebind(bs, m, domain)
+            bs2, m2 = _rebind(bs, m, domain, cont)
             return Receive(s2, bs2), m2
         case Match(lhs=a, rhs=b, inner=inner):
-            inner2, m2 = _subst_prefix(inner, m, domain)
+            inner2, m2 = _subst_prefix(inner, m, domain, cont)
             return Match(_subst_name(a, m), _subst_name(b, m), inner2), m2
     raise TypeError(pre)
 
@@ -471,12 +477,12 @@ def _subst(p: Process, m: dict[Name, Name], domain: frozenset[Name]) -> Process:
         case Nil():
             return p
         case Prefixed(prefix=pre, continuation=cont):
-            pre2, m2 = _subst_prefix(pre, m, domain)
+            pre2, m2 = _subst_prefix(pre, m, domain, cont)
             return Prefixed(pre2, _subst(cont, m2, domain))
         case Par(left=l, right=r):
             return Par(_subst(l, m, domain), _subst(r, m, domain))
         case Restrict(channels=ks, body=body):
-            ks2, m2 = _rebind(ks, m, domain)
+            ks2, m2 = _rebind(ks, m, domain, body)
             return Restrict(ks2, _subst(body, m2, domain))
         case Repl(body=body):
             return Repl(_subst(body, m, domain))
@@ -609,48 +615,54 @@ def validate_cpi(p: Process) -> ValidationReport:
     variable (guaranteed by construction) and every name is used as a
     communication subject at a single arity.
     """
-    kind_viols: list[Violation] = []
-    arities: dict[Name, dict[int, str]] = {}
-
-    def note_arity(n: Name, arity: int, path: str) -> None:
-        arities.setdefault(n, {}).setdefault(arity, path)
-
-    def walk_prefix(pre: Prefix, path: str) -> None:
-        match pre:
-            case Send(subject=s, objects=objs):
-                note_arity(s, len(objs), path)
-                for o in objs:
-                    if not o.is_channel:
-                        kind_viols.append(Violation(
-                            path, f"send object {o.ident!r} is a variable"))
-            case Receive(subject=s, binders=bs):
-                note_arity(s, len(bs), path)
-            case Match(inner=inner):
-                walk_prefix(inner, path + "/match")
-
-    def walk(t: Process, path: str) -> None:
-        match t:
-            case Nil():
-                pass
-            case Prefixed(prefix=pre, continuation=cont):
-                walk_prefix(pre, path + "/prefix")
-                walk(cont, path + "/cont")
-            case Par(left=l, right=r):
-                walk(l, path + "/par.left")
-                walk(r, path + "/par.right")
-            case Restrict(body=body):
-                walk(body, path + "/new")
-            case Repl(body=body):
-                walk(body, path + "/repl")
-
+    v = _Validator()
     # Alpha-rename apart first so shadowed binders cannot produce
     # spurious sort clashes.
-    walk(canonicalize(p), "")
+    v.walk(canonicalize(p), "")
 
     sort_viols = [
         Violation(sorted(paths.values())[0],
                   f"name {n.ident!r} used at arities {sorted(paths)}")
-        for n, paths in sorted(arities.items(), key=lambda kv: (kv[0].kind, kv[0].ident))
+        for n, paths in sorted(v.arities.items(), key=lambda kv: (kv[0].kind, kv[0].ident))
         if len(paths) > 1
     ]
-    return ValidationReport(tuple(kind_viols), tuple(sort_viols))
+    return ValidationReport(tuple(v.kind_viols), tuple(sort_viols))
+
+
+class _Validator:
+    """One pass of :func:`validate_cpi`: the kind violations found so far
+    and, per subject, the first path at which each arity is used."""
+
+    __slots__ = ("kind_viols", "arities")
+
+    def __init__(self) -> None:
+        self.kind_viols: list[Violation] = []
+        self.arities: dict[Name, dict[int, str]] = {}
+
+    def prefix(self, pre: Prefix, path: str) -> None:
+        match pre:
+            case Send(subject=s, objects=objs):
+                self.arities.setdefault(s, {}).setdefault(len(objs), path)
+                for o in objs:
+                    if not o.is_channel:
+                        self.kind_viols.append(Violation(
+                            path, f"send object {o.ident!r} is a variable"))
+            case Receive(subject=s, binders=bs):
+                self.arities.setdefault(s, {}).setdefault(len(bs), path)
+            case Match(inner=inner):
+                self.prefix(inner, path + "/match")
+
+    def walk(self, t: Process, path: str) -> None:
+        match t:
+            case Nil():
+                pass
+            case Prefixed(prefix=pre, continuation=cont):
+                self.prefix(pre, path + "/prefix")
+                self.walk(cont, path + "/cont")
+            case Par(left=l, right=r):
+                self.walk(l, path + "/par.left")
+                self.walk(r, path + "/par.right")
+            case Restrict(body=body):
+                self.walk(body, path + "/new")
+            case Repl(body=body):
+                self.walk(body, path + "/repl")

@@ -9,12 +9,15 @@ import sys
 import pytest
 
 from cpi.bisim import (
-    ConstructionError, check, check_proposition1_instance, law_suite,
+    ConstructionError, Verdict, check, check_proposition1_instance, law_suite,
 )
-from cpi.gen import random_cpi_process
-from cpi.lts import Engine, InAct, OutAct, TauAct
+from cpi.gen import random_cpi_process, random_pi_process
+from cpi.lts import BoundOutAct, Engine, InAct, OutAct, TauAct
 from cpi.parser import parse
-from cpi.syntax import NIL, Par, Prefixed, Receive, Send, chan, var
+from cpi.syntax import (
+    NIL, Par, Prefixed, Receive, Restrict, Send, canonicalize, chan,
+    free_names, substitute_free, var,
+)
 
 
 def bisim(a, b, depth=4):
@@ -161,3 +164,82 @@ def test_shared_engine_does_not_change_verdicts():
         for i in order:
             p, q = pairs[i]
             assert check(p, q, 3, engine) == fresh[i], i
+
+
+def reference_check(p, q, depth):
+    """The bounded game with every round, the last included, played on
+    full ``Engine.successors`` moves; built from public calls only."""
+    engine = Engine()
+    p, q = canonicalize(p), canonicalize(q)
+    base = {n for n in free_names(p) | free_names(q) if n.is_channel}
+    memo = {}
+
+    def moves(s, env, avoid):
+        out = []
+        for tr in engine.successors(s, env):
+            a, t = tr.action, tr.target
+            if isinstance(a, BoundOutAct):
+                fresh, j = [], 0
+                while len(fresh) < len(a.bound):
+                    if f"#b{j}" not in avoid:
+                        fresh.append(chan(f"#b{j}"))
+                    j += 1
+                m = dict(zip(a.bound, fresh))
+                a = BoundOutAct(a.subject, tuple(m.get(o, o) for o in a.objects),
+                                tuple(fresh))
+                t = canonicalize(substitute_free(t, m))
+            out.append((a, t))
+        return out
+
+    def play(a, b, d):
+        if d == 0 or a == b:
+            return None
+        if (a, b, d) in memo:
+            return memo[a, b, d]
+        env = base | {n for n in free_names(a) | free_names(b) if n.is_channel}
+        avoid = {n.ident for n in env | free_names(a) | free_names(b)}
+        by_a, by_b = {}, {}
+        for act, t in moves(a, env, avoid):
+            by_a.setdefault(act, []).append(t)
+        for act, t in moves(b, env, avoid):
+            by_b.setdefault(act, []).append(t)
+        result = None
+        for attacker, defender, side in ((by_a, by_b, "right"), (by_b, by_a, "left")):
+            for act, targets in attacker.items():
+                for t in targets:
+                    replies = [play(t, c, d - 1) if side == "right" else play(c, t, d - 1)
+                               for c in defender.get(act, ())]
+                    if None not in replies:
+                        result = [(act, side)] + (replies[0] if replies else [])
+                        break
+                if result is not None:
+                    break
+            if result is not None:
+                break
+        memo[a, b, d] = result
+        return result
+
+    ce = play(p, q, depth)
+    return Verdict(ce is None, depth, None if ce is None else tuple(ce))
+
+
+def test_label_only_last_round_matches_full_game():
+    # the last round reads labels only; a game that expands it in full
+    # must give the same verdicts and counterexamples at every depth
+    rng = random.Random(515)
+    pairs = []
+    while len(pairs) < 120:
+        gen = random_pi_process if len(pairs) % 2 else random_cpi_process
+        p = gen(rng, rng.randint(1, 5), repl_weight=0.06)
+        q = gen(rng, rng.randint(1, 5), repl_weight=0.06)
+        pairs += [(p, q), (Par(p, q), Par(q, p)), (Par(p, q), p),
+                  (Restrict((chan("a"),), p), p)]
+    steps = []
+    for i, (p, q) in enumerate(pairs):
+        for depth in (1, 2, 3, 4) if i % 3 == 0 else (1 + i % 4,):
+            got = check(p, q, depth)
+            assert got == reference_check(p, q, depth), (i, depth)
+            steps += got.counterexample or ()
+    assert any(isinstance(a, BoundOutAct) for a, _ in steps)
+    assert any(isinstance(a, InAct) for a, _ in steps)
+    assert {"left", "right"} <= {side for _, side in steps}

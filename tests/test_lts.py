@@ -6,31 +6,30 @@ import random
 import pytest
 
 from naive_lts import naive_step_set, normalize
-from cpi.gen import random_cpi_process
+from cpi.gen import random_cpi_process, random_pi_process
 from cpi.lts import (
     BoundOutAct, Engine, InAct, NoSuchTransition, OutAct, TAU, TauAct,
     run_trace, successors, tau_reachable,
 )
 from cpi.parser import PI, parse, render
-from cpi.syntax import SortError, canonicalize, chan, free_names
+from cpi.syntax import NIL, SortError, canonicalize, chan, free_names
+
+
+def label_tuple(a):
+    """An engine action as an oracle label."""
+    if isinstance(a, TauAct):
+        return ("tau",)
+    if isinstance(a, OutAct):
+        return ("out", a.subject.ident, tuple(o.ident for o in a.objects))
+    if isinstance(a, InAct):
+        return ("in", a.subject.ident, tuple(o.ident for o in a.objects))
+    return ("bout", a.subject.ident, tuple(o.ident for o in a.objects),
+            tuple(b.ident for b in a.bound))
 
 
 def engine_step_set(p, extra=()):
-    out = set()
-    for tr in successors(p, extra):
-        a = tr.action
-        if isinstance(a, TauAct):
-            lab = ("tau",)
-        elif isinstance(a, OutAct):
-            lab = ("out", a.subject.ident, tuple(o.ident for o in a.objects))
-        elif isinstance(a, InAct):
-            lab = ("in", a.subject.ident, tuple(o.ident for o in a.objects))
-        else:
-            lab = ("bout", a.subject.ident,
-                   tuple(o.ident for o in a.objects),
-                   tuple(b.ident for b in a.bound))
-        out.add(normalize(lab, tr.target))
-    return out
+    return {normalize(label_tuple(tr.action), tr.target)
+            for tr in successors(p, extra)}
 
 
 def assert_conforms(text, extra=(), mode=PI):
@@ -189,3 +188,27 @@ def test_oracle_conformance_random():
         p = random_cpi_process(rng, rng.randint(2, 9), repl_weight=0.05)
         env = {n for n in free_names(canonicalize(p)) if n.is_channel}
         assert engine_step_set(canonicalize(p)) == naive_step_set(canonicalize(p), env)
+
+
+def test_engine_labels_are_the_actions_of_successors():
+    # labels lists the distinct actions of successors in their order,
+    # whether or not the engine already holds that successors entry, and
+    # gives the oracle's label set
+    rng = random.Random(3030)
+    cases = [(parse(text, mode=PI), tuple(chan(e) for e in extra))
+             for text, extra in CONFORMANCE_CASES]
+    for i in range(80):
+        gen = random_pi_process if i % 2 else random_cpi_process
+        extra = ((), (chan("e"),), (chan("a"), chan("#i0")))[i % 3]
+        cases.append((gen(rng, rng.randint(1, 8), repl_weight=0.08), extra))
+    shared = Engine()
+    for i, (p, extra) in enumerate(cases):
+        want = tuple(dict.fromkeys(tr.action for tr in successors(p, extra)))
+        assert Engine().labels(p, extra) == want, render(p)
+        if i % 2:
+            shared.successors(p, extra)
+        assert shared.labels(p, extra) == want, render(p)
+        c = canonicalize(p)
+        env = {n for n in free_names(c) if n.is_channel} | set(extra)
+        assert ({normalize(label_tuple(a), NIL)[0] for a in want}
+                == {lab for lab, _ in naive_step_set(c, env)}), render(p)

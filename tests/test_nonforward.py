@@ -4,12 +4,17 @@ import random
 
 import pytest
 
-from cpi.gen import random_cpi_process
+from cpi.gen import random_cpi_process, random_pi_process
+from cpi.lts import BoundOutAct, Engine, InAct, OutAct, TauAct
 from cpi.nonforward import (
-    WitnessNotCpi, check_nonforwarding, static_guarantee, witness_check,
+    NFVerdict, NFViolation, WitnessNotCpi, check_nonforwarding,
+    static_guarantee, witness_check,
 )
 from cpi.parser import PI, parse
-from cpi.syntax import validate_cpi
+from cpi.syntax import (
+    NIL, Par, Prefixed, Receive, Restrict, Send, canonicalize, chan,
+    free_names, validate_cpi, var,
+)
 
 SATISFYING = "k?(x).new l in (l!<x>.0 | l?(y).0)"
 VIOLATING = "k?(x).new l in (k!<l>.l!<x>.0 | l?(y).0)"
@@ -86,3 +91,82 @@ def test_witness_check_negative():
     w = parse("k?(x).0")
     ev = witness_check(p, w, 3)
     assert not ev.positive
+
+
+def action_key(a):
+    """The order of ``successors`` on labels, restated."""
+    if isinstance(a, TauAct):
+        return (0, "", (), ())
+    bound = tuple(b.ident for b in a.bound) if isinstance(a, BoundOutAct) else ()
+    rank = {OutAct: 1, BoundOutAct: 2, InAct: 3}[type(a)]
+    return (rank, a.subject.ident, tuple(o.ident for o in a.objects), bound)
+
+
+def reference_nonforwarding(p, depth):
+    """Breadth-first search that expands every level, the last included,
+    with full ``Engine.successors``; built from public calls only."""
+    engine = Engine()
+    root = canonicalize(p)
+    frontier = [(root, (), ())]
+    seen = {(root, ())}
+    for _ in range(depth):
+        nxt = []
+        for state, watched, trace in frontier:
+            watch = dict(watched)
+            for tr in engine.successors(state):
+                a = tr.action
+                emitted = set()
+                if isinstance(a, (OutAct, BoundOutAct)):
+                    emitted = set(a.objects) - set(getattr(a, "bound", ()))
+                hits = sorted(emitted & set(watch), key=lambda n: n.ident)
+                if hits:
+                    return NFVerdict(False, depth, NFViolation(
+                        trace + (a,), watch[hits[0]], len(trace), hits[0]))
+                new = watched
+                if isinstance(a, InAct):
+                    extra = {(o, len(trace)) for o in a.objects
+                             if o.is_channel and o not in free_names(state)
+                             and o not in watch}
+                    if extra:
+                        new = tuple(sorted(set(watched) | extra,
+                                           key=lambda kv: (kv[0].ident, kv[1])))
+                if (tr.target, new) not in seen:
+                    seen.add((tr.target, new))
+                    nxt.append((tr.target, new, trace + (a,)))
+        nxt.sort(key=lambda node: tuple(action_key(a) for a in node[2]))
+        frontier = nxt
+    return NFVerdict(True, depth)
+
+
+def test_label_only_last_level_matches_full_search():
+    # the last level reads labels only; a search that expands it in full
+    # must give the same verdicts and violations at every depth
+    rng = random.Random(616)
+    terms = []
+    for i in range(110):
+        gen = random_cpi_process if i % 4 == 0 else random_pi_process
+        terms.append(gen(rng, rng.randint(2, 8), repl_weight=0.06))
+    terms += [Par(p, q) for p, q in zip(terms[:30], terms[30:60])]
+    # forwarders after a random prefix of work, so violations end at
+    # every step of the trace
+    x, l = var("x"), chan("l")
+    for p in terms[60:100]:
+        fwd = Prefixed(Send(chan("c"), (x,)), NIL)
+        terms.append(Prefixed(Receive(chan("a"), (x,)), Par(p, fwd)))
+        terms.append(Prefixed(Receive(chan("a"), (x,)), Restrict((l,), Par(
+            Prefixed(Send(chan("a"), (l,)), Prefixed(Send(l, (x,)), NIL)), p))))
+    terms += [Par(p, parse(text, mode=PI)) for p in terms[100:110]
+              for text in ("a?(x).b!<b>.b?(y).b!<b>.c!<x>.0",
+                           "a?(x).new l in w!<l,x>.0",
+                           "a?(x).(d!<x>.0 | c!<x>.0)")]
+    violations = []
+    for i, p in enumerate(terms):
+        for depth in range(6) if i % 5 == 0 else (i % 6,):
+            got = check_nonforwarding(p, depth)
+            assert got == reference_nonforwarding(p, depth), (i, depth)
+            if got.violation is not None:
+                violations.append((depth, got.violation))
+    assert len(violations) >= 40
+    # found on the last level, which reads labels only, at every depth
+    assert {d for d, v in violations if v.send_index == d - 1} == {2, 3, 4, 5}
+    assert any(isinstance(v.trace[-1], BoundOutAct) for _, v in violations)

@@ -1,12 +1,17 @@
 """Core term representation: names, substitution, canonical forms."""
 
 import copy
+import gc
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
+from naive_lts import naive_canon, naive_subst
 from cpi.gen import random_pi_process
+from cpi.parser import render
 from cpi.syntax import (
     Match, NIL, Par, Prefixed, Receive, Repl, Restrict, Send,
     SubstitutionDomainError, _Canonicalizer, alpha_equivalent, bound_names,
@@ -96,6 +101,59 @@ def test_substitute_capture_avoiding():
     assert fresh != b
 
 
+CAPTURE_CASE = (
+    "from cpi.syntax import *\n"
+    "a, b, c, x, z = chan('a'), chan('b'), chan('c'), var('x'), var('z')\n"
+    "p = Restrict((b,), Par(Prefixed(Send(x, (b, chan('#s0'))), NIL),\n"
+    "    Prefixed(Receive(a, (z,)), Restrict((c,), Prefixed(\n"
+    "        Send(z, (x, b, c)), NIL)))))\n"
+    "q = substitute(p, {x: b})\n"
+)
+
+
+def test_substitute_independent_of_history():
+    # a capturing substitution gives the same term in a fresh process as
+    # after other substitutions, and the same node on every call
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         CAPTURE_CASE + "from cpi.parser import render; print(render(q))"],
+        check=True, capture_output=True, text=True).stdout.strip()
+    rng = random.Random(8)
+    for _ in range(20):
+        t = random_pi_process(rng, 6)
+        substitute(t, {n: a for n in free_names(t) - bound_names(t)})
+    scope: dict = {}
+    exec(CAPTURE_CASE, scope)
+    assert render(scope["q"]) == fresh
+    assert substitute(scope["p"], {x: b}) is scope["q"]
+    # the renamed binder avoids the free reserved name #s0
+    assert free_names(scope["q"]) == {a, b, chan("#s0")}
+
+
+def test_substitute_agrees_with_oracle():
+    # capture-avoiding substitution, checked up to alpha against the
+    # oracle's rename-every-binder substitution; the range includes the
+    # channels the term restricts, so binders get renamed (the oracle's
+    # alpha-shape compares identifiers, so the range leaves out those of
+    # the term's variables)
+    rng = random.Random(99)
+    renamed = 0
+    for _ in range(300):
+        p = random_pi_process(rng, rng.randint(1, 9),
+                              extra_channels=(chan("#s0"), chan("#s1")))
+        names = bound_names(p) | free_names(p)
+        taken = {n.ident for n in names if n.is_variable}
+        pool = [chan(i) for i in sorted(
+            {n.ident for n in bound_names(p) if n.is_channel} | {"a", "#s0", "#s2"})
+            if i not in taken]
+        domain = sorted(free_names(p) - bound_names(p), key=repr)
+        sigma = {n: rng.choice(pool) for n in domain if rng.random() < 0.7}
+        q = substitute(p, sigma)
+        renamed += any(n.ident.startswith("#s") for n in bound_names(q))
+        assert naive_canon(q) == naive_canon(naive_subst(p, sigma)), render(p)
+    assert renamed >= 20
+
+
 def test_substitute_rejects_binder_remap():
     p = Prefixed(Receive(a, (x,)), NIL)
     with pytest.raises(SubstitutionDomainError):
@@ -162,3 +220,17 @@ def test_validate_shadowed_binders_do_not_clash():
             Prefixed(Receive(b, (var("x"), y)), NIL))
     # subjects a and b differ, binder x is bound twice at different arities
     assert validate_cpi(p).ok
+
+
+def test_validate_cpi_leaves_no_garbage():
+    # one validation makes no reference cycle for the cyclic GC to free
+    p = Par(Prefixed(Receive(a, (x,)), Prefixed(Send(b, (x,)), NIL)),
+            Restrict((c,), Prefixed(Match(a, b, Send(a, (b, c))), NIL)))
+    gc.collect()
+    gc.disable()
+    try:
+        report = validate_cpi(p)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert report.kind_violations and report.sort_violations

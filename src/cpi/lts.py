@@ -194,13 +194,12 @@ class Engine:
     means what it would mean on full successors.
     """
 
-    __slots__ = ("_succ_cache", "_input_cache", "_trans_cache", "_label_cache")
+    __slots__ = ("_succ_cache", "_input_cache", "_trans_cache")
 
     def __init__(self) -> None:
         self._succ_cache: dict = {}
         self._input_cache: dict = {}
         self._trans_cache: dict = {}
-        self._label_cache: dict = {}
 
     def successors(self, p: Process, environment: Iterable[Name] = (),
                    include_inputs: bool = True) -> tuple[Transition, ...]:
@@ -221,20 +220,10 @@ class Engine:
         p = canonicalize(p)
         env = (frozenset(n for n in free_names(p) if n.is_channel)
                | frozenset(environment))
-        key = (p, env)
-        hit = self._label_cache.get(key)
-        if hit is not None:
-            return hit
-        trans = self._trans_cache.get((p, env, True))
-        if trans is not None:
-            hit = tuple(dict.fromkeys(tr.action for tr in trans))
-        else:
-            # successors sorts by the action's key first, and the key is
-            # one-to-one here: every name in an action is a channel.
-            actions = {a for a, _, _ in self._succ(p, env, True)}
-            hit = tuple(sorted(actions, key=_action_sort_key))
-        self._label_cache[key] = hit
-        return hit
+        # successors sorts by the action's key first, and the key is
+        # one-to-one here: every name in an action is a channel.
+        return tuple(sorted({a for a, _, _ in self._succ(p, env, True)},
+                            key=_action_sort_key))
 
     def _transitions(self, p: Process, env: frozenset[Name],
                      inputs: bool) -> tuple[Transition, ...]:

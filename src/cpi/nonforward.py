@@ -116,12 +116,15 @@ def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
             break
     if depth:
         # The last step can only complete a violation, so it reads labels:
-        # its targets would start a level that is never searched.
+        # its targets would start a level that is never searched.  Every
+        # state's labels are derived, watched or not, so a sort error in
+        # the last step is raised as on full successors.
         for state, watched, trace in frontier:
+            acts = engine.labels(state)
             if not watched:
                 continue
             watch_map = dict(watched)
-            for act in engine.labels(state):
+            for act in acts:
                 violation = _forwarded(act, watch_map, trace)
                 if violation is not None:
                     return NFVerdict(False, depth, violation)

@@ -13,10 +13,10 @@ from cpi.bisim import (
 )
 from cpi.gen import random_cpi_process, random_pi_process
 from cpi.lts import BoundOutAct, Engine, InAct, OutAct, TauAct
-from cpi.parser import parse
+from cpi.parser import PI, parse
 from cpi.syntax import (
-    NIL, Par, Prefixed, Receive, Restrict, Send, canonicalize, chan,
-    free_names, substitute_free, var,
+    NIL, Par, Prefixed, Receive, Restrict, Send, SortError, canonicalize,
+    chan, free_names, substitute_free, var,
 )
 
 
@@ -223,6 +223,14 @@ def reference_check(p, q, depth):
     return Verdict(ce is None, depth, None if ce is None else tuple(ce))
 
 
+def outcome(game, p, q, depth):
+    """The verdict of ``game``, or the sort error it raised."""
+    try:
+        return game(p, q, depth)
+    except SortError as e:
+        return ("SortError", str(e))
+
+
 def test_label_only_last_round_matches_full_game():
     # the last round reads labels only; a game that expands it in full
     # must give the same verdicts and counterexamples at every depth
@@ -234,12 +242,22 @@ def test_label_only_last_round_matches_full_game():
         q = gen(rng, rng.randint(1, 5), repl_weight=0.06)
         pairs += [(p, q), (Par(p, q), Par(q, p)), (Par(p, q), p),
                   (Restrict((chan("a"),), p), p)]
-    steps = []
+    # a channel used at two arities: the clash shows only when a round
+    # synchronizes b!<c> with the received b?(y,z)
+    clash = parse("a?(x).x?(y,z).0 | a!<b>.0 | b!<c>.0", mode=PI)
+    n = len(pairs)
+    pairs += [(clash, Par(p, clash)) for p, _ in pairs[:8]]
+    pairs += [(Par(clash, p), q) for p, q in pairs[:8]]
+    steps, errors = [], set()
     for i, (p, q) in enumerate(pairs):
-        for depth in (1, 2, 3, 4) if i % 3 == 0 else (1 + i % 4,):
-            got = check(p, q, depth)
-            assert got == reference_check(p, q, depth), (i, depth)
-            steps += got.counterexample or ()
+        for depth in (1, 2, 3, 4) if i % 3 == 0 or i >= n else (1 + i % 4,):
+            got = outcome(check, p, q, depth)
+            assert got == outcome(reference_check, p, q, depth), (i, depth)
+            if isinstance(got, tuple):
+                errors.add(depth)
+            else:
+                steps += got.counterexample or ()
+    assert 2 in errors
     assert any(isinstance(a, BoundOutAct) for a, _ in steps)
     assert any(isinstance(a, InAct) for a, _ in steps)
     assert {"left", "right"} <= {side for _, side in steps}

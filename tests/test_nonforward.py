@@ -12,8 +12,8 @@ from cpi.nonforward import (
 )
 from cpi.parser import PI, parse
 from cpi.syntax import (
-    NIL, Par, Prefixed, Receive, Restrict, Send, canonicalize, chan,
-    free_names, validate_cpi, var,
+    NIL, Par, Prefixed, Receive, Restrict, Send, SortError, canonicalize,
+    chan, free_names, validate_cpi, var,
 )
 
 SATISFYING = "k?(x).new l in (l!<x>.0 | l?(y).0)"
@@ -93,6 +93,27 @@ def test_witness_check_negative():
     assert not ev.positive
 
 
+# A channel used at two arities: the clash shows only once a step
+# synchronizes b!<c> with the received b?(y,z), at step 2.
+ARITY_CLASH = "a?(x).x?(y,z).0 | a!<b>.0 | b!<c>.0"
+
+
+def test_arity_clash_in_last_step_is_raised():
+    p = parse(ARITY_CLASH, mode=PI)
+    assert check_nonforwarding(p, 1).satisfied
+    for depth in (2, 3):
+        with pytest.raises(SortError, match="arity 2"):
+            check_nonforwarding(p, depth)
+
+
+def outcome(search, p, depth):
+    """The verdict of ``search``, or the sort error it raised."""
+    try:
+        return search(p, depth)
+    except SortError as e:
+        return ("SortError", str(e))
+
+
 def action_key(a):
     """The order of ``successors`` on labels, restated."""
     if isinstance(a, TauAct):
@@ -159,14 +180,27 @@ def test_label_only_last_level_matches_full_search():
               for text in ("a?(x).b!<b>.b?(y).b!<b>.c!<x>.0",
                            "a?(x).new l in w!<l,x>.0",
                            "a?(x).(d!<x>.0 | c!<x>.0)")]
-    violations = []
+    # arity clashes that surface at steps 2 to 4, alone and next to
+    # other work, some of it watched
+    clash = parse(ARITY_CLASH, mode=PI)
+    w = chan("w")
+    n = len(terms)
+    for _ in range(3):
+        terms.append(clash)
+        terms += [Par(p, clash) for p in terms[100:104]]
+        terms += [Par(clash, p) for p in terms[60:62]]
+        clash = Prefixed(Send(w, (w,)), clash)
+    violations, errors = [], set()
     for i, p in enumerate(terms):
-        for depth in range(6) if i % 5 == 0 else (i % 6,):
-            got = check_nonforwarding(p, depth)
-            assert got == reference_nonforwarding(p, depth), (i, depth)
-            if got.violation is not None:
+        for depth in range(6) if i % 5 == 0 or i >= n else (i % 6,):
+            got = outcome(check_nonforwarding, p, depth)
+            assert got == outcome(reference_nonforwarding, p, depth), (i, depth)
+            if isinstance(got, tuple):
+                errors.add(depth)
+            elif got.violation is not None:
                 violations.append((depth, got.violation))
     assert len(violations) >= 40
+    assert {2, 3, 4} <= errors
     # found on the last level, which reads labels only, at every depth
     assert {d for d, v in violations if v.send_index == d - 1} == {2, 3, 4, 5}
     assert any(isinstance(v.trace[-1], BoundOutAct) for _, v in violations)

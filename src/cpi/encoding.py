@@ -20,9 +20,9 @@ from .bisim import Verdict, check
 from .lts import Engine, TauAct, successors, tau_levels
 from .parser import render
 from .syntax import (
-    CpiError, Match, Name, NIL, Nil, Par, Prefix, Prefixed, Process,
-    Receive, Repl, ReservedNameError, Restrict, Send, canonicalize, chan,
-    fnn, free_names, bound_names, par, prefix_chain, var, wrap_matches,
+    CpiError, Name, NIL, Nil, Par, Prefixed, Process, Receive, Repl,
+    ReservedNameError, Restrict, Send, bound_names, canonicalize, chan, fnn,
+    free_names, par, prefix_chain, var, wrap_matches,
 )
 
 
@@ -73,97 +73,88 @@ def handler(k: Name) -> Process:
     return Par(reveal, broker)
 
 
-def _rename_reserved_binders(p: Process) -> Process:
-    """Rename reserved (``#``-prefixed) binders to surface identifiers so
-    canonical forms can be fed back through the translation."""
-    taken = {n.ident for n in free_names(p) | bound_names(p)}
-    counter = itertools.count()
-
-    def fresh(kind: str) -> Name:
-        while True:
-            ident = f"src{next(counter)}"
-            if ident not in taken:
-                taken.add(ident)
-                return Name(kind, ident)
-
-    def walk_prefix(pre: Prefix, env: dict[Name, Name]):
-        match pre:
-            case Send(subject=s, objects=objs):
-                return Send(env.get(s, s), tuple(env.get(o, o) for o in objs)), env
-            case Receive(subject=s, binders=bs):
-                env2 = dict(env)
-                out = []
-                for b in bs:
-                    nb = fresh(b.kind) if b.is_reserved else b
-                    env2[b] = nb
-                    out.append(nb)
-                return Receive(env.get(s, s), tuple(out)), env2
-            case Match(lhs=a, rhs=b, inner=inner):
-                inner2, env2 = walk_prefix(inner, env)
-                return Match(env.get(a, a), env.get(b, b), inner2), env2
-        raise TypeError(pre)
-
-    def walk(t: Process, env: dict[Name, Name]) -> Process:
-        match t:
-            case Nil():
-                return t
-            case Prefixed(prefix=pre, continuation=cont):
-                pre2, env2 = walk_prefix(pre, env)
-                return Prefixed(pre2, walk(cont, env2))
-            case Par(left=l, right=r):
-                return Par(walk(l, env), walk(r, env))
-            case Restrict(channels=ks, body=body):
-                env2 = dict(env)
-                out = []
-                for k in ks:
-                    nk = fresh(k.kind) if k.is_reserved else k
-                    env2[k] = nk
-                    out.append(nk)
-                return Restrict(tuple(out), walk(body, env2))
-            case Repl(body=body):
-                return Repl(walk(body, env))
-        raise TypeError(t)
-
-    return walk(p, {})
-
-
 def encode(p: Process, fresh_start: int = 0) -> Process:
     """Translate the monadic sum-free term ``p``.
 
     Raises :class:`SourceModeError` if a prefix is polyadic or a free
     name is reserved.  Reserved bound names (as produced by the
-    canonicalizer) are renamed to surface names first.
+    canonicalizer) become the surface names ``src0, src1, ...`` (skipping
+    identifiers that occur in ``p``) in the order the translation meets
+    their binders, so canonical forms can be fed back through it; the
+    translation renames as it goes and builds no renamed copy.
     """
     for n in free_names(p):
         if n.is_reserved:
             raise SourceModeError(
                 f"free reserved name {n.ident!r} in translation source")
-    p = _rename_reserved_binders(p)
-    fr = itertools.count(fresh_start)
+    return _Encoder(p, fresh_start).enc(p)
 
-    def enc(t: Process) -> Process:
+
+class _Encoder:
+    """One translation: the surface name of each reserved binder in
+    scope, the source's identifiers that those names skip, and the
+    counters of both kinds of new name."""
+
+    __slots__ = ("env", "taken", "renamed", "fr")
+
+    def __init__(self, source: Process, fresh_start: int) -> None:
+        self.env: dict[Name, Name] = {}
+        self.taken = {n.ident for n in free_names(source) | bound_names(source)}
+        self.renamed = itertools.count()
+        self.fr = itertools.count(fresh_start)
+
+    def bind(self, b: Name, shadowed: list) -> Name:
+        """The surface name of binder ``b``; a reserved one is renamed in
+        ``env`` and its outer entry saved on ``shadowed``."""
+        if not b.is_reserved:
+            return b
+        while True:
+            ident = f"src{next(self.renamed)}"
+            if ident not in self.taken:
+                break
+        shadowed.append((b, self.env.get(b)))
+        self.env[b] = nb = Name(b.kind, ident)
+        return nb
+
+    def restore(self, shadowed: list) -> None:
+        env = self.env
+        for b, outer in reversed(shadowed):
+            if outer is None:
+                del env[b]
+            else:
+                env[b] = outer
+
+    def enc(self, t: Process) -> Process:
         match t:
             case Nil():
                 return t
             case Par(left=l, right=r):
-                return Par(enc(l), enc(r))
+                return Par(self.enc(l), self.enc(r))
             case Repl(body=body):
-                return Repl(enc(body))
+                return Repl(self.enc(body))
             case Restrict(channels=ks, body=body):
-                out = enc(body)
+                shadowed = []
+                ks = [self.bind(k, shadowed) for k in ks]
+                out = self.enc(body)
+                self.restore(shadowed)
                 for k in reversed(ks):
                     tr = renaming_policy(k)
                     out = Restrict((k, tr.n_name, tr.m_name),
                                    Par(out, handler(k)))
                 return out
             case Prefixed(prefix=pre, continuation=cont):
+                env = self.env
                 guards, core = prefix_chain(pre)
+                guards = [(env.get(a, a), env.get(b, b)) for a, b in guards]
+                subject = env.get(core.subject, core.subject)
+                fr = self.fr
                 if isinstance(core, Send):
                     if len(core.objects) != 1:
                         raise SourceModeError(
-                            f"polyadic send on {core.subject.ident!r}")
-                    ta = renaming_policy(core.subject)
-                    tb = renaming_policy(core.objects[0])
+                            f"polyadic send on {subject.ident!r}")
+                    obj = core.objects[0]
+                    ta = renaming_policy(subject)
+                    tb = renaming_policy(env.get(obj, obj))
                     e1 = chan(f"#e{next(fr)}")
                     e2 = chan(f"#e{next(fr)}")
                     y = var(f"#y{next(fr)}")
@@ -171,23 +162,25 @@ def encode(p: Process, fresh_start: int = 0) -> Process:
                         wrap_matches(guards, Send(ta.n_name, (e1,))),
                         Prefixed(Send(tb.m_name, (e1, e2)),
                                  Prefixed(Receive(e2, (y,)),
-                                          Prefixed(Send(y, (e1,)), enc(cont)))))
+                                          Prefixed(Send(y, (e1,)),
+                                                   self.enc(cont)))))
                     return Restrict((e1, e2), chain)
                 if len(core.binders) != 1:
                     raise SourceModeError(
-                        f"polyadic receive on {core.subject.ident!r}")
-                x = core.binders[0]
+                        f"polyadic receive on {subject.ident!r}")
+                shadowed = []
+                x = self.bind(core.binders[0], shadowed)
                 tx = renaming_policy(x)
                 xc = var(f"#w{next(fr)}")
                 dummy = var(f"#y{next(fr)}")
+                body = self.enc(cont)
+                self.restore(shadowed)
                 return Prefixed(
                     wrap_matches(guards,
-                                 Receive(core.subject,
+                                 Receive(subject,
                                          (x, tx.n_name, tx.m_name, xc))),
-                    Prefixed(Receive(xc, (dummy,)), enc(cont)))
+                    Prefixed(Receive(xc, (dummy,)), body))
         raise TypeError(t)
-
-    return enc(p)
 
 
 def encode_with_handlers(p: Process, fresh_start: int = 0) -> Process:

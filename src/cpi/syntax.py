@@ -52,30 +52,44 @@ class ReservedNameError(CpiError):
 # function of a term computed once (its free names, its canonical form,
 # its rendering) can be kept on the node.  The table holds nodes weakly:
 # it never keeps a term alive, a node's memoised values are freed with
-# it, and what the table holds never changes an answer.
+# it, and what the table holds never changes an answer.  (Filliâtre &
+# Conchon, *Type-safe modular hash-consing*, ML Workshop 2006.)
+#
+# Every term is built through these constructors, so each one is written
+# out in full: a hit is one table lookup and one call of the weak
+# reference; a miss checks the fields, sets the slots and registers a
+# ``_Ref`` whose callback drops the entry when the node dies.
 
 _nodes: dict = {}
 _remember = object.__setattr__
 
 
-def _forget(ref: weakref.KeyedRef, nodes: dict = _nodes) -> None:
+class _Ref(weakref.ref):
+    """The table's weak reference to a node, carrying the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref, nodes: dict = _nodes) -> None:
+    # A node rebuilt after its death has a new entry under the same key;
+    # the dead node's late callback must not remove it.
     if nodes.get(ref.key) is ref:
         del nodes[ref.key]
 
 
-def _interned(key: tuple):
-    """The live node for ``key`` (its class, then its fields), or None."""
-    ref = _nodes.get(key)
-    return None if ref is None else ref()
+def _keep(node, key: tuple) -> None:
+    ref = _Ref(node, _forget)
+    ref.key = key
+    _nodes[key] = ref
 
 
-def _intern(key: tuple):
-    cls = key[0]
-    node = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, key[1:]):
-        _remember(node, name, value)
-    _nodes[key] = weakref.KeyedRef(node, _forget, key)
-    return node
+class _Gone:
+    pass
+
+
+# What a table miss reads: a reference that is dead from the start, so
+# ``_nodes.get(key, _MISSING)()`` is the live node for ``key`` or None.
+_MISSING = weakref.ref(_Gone())
 
 
 class _Node:
@@ -103,13 +117,16 @@ class Name(_Node):
 
     def __new__(cls, kind: str, ident: str) -> "Name":
         key = (cls, kind, ident)
-        node = _interned(key)
+        node = _nodes.get(key, _MISSING)()
         if node is None:
             if kind not in (CHAN, VAR):
                 raise ValueError(f"bad name kind: {kind!r}")
             if not ident:
                 raise ValueError("empty identifier")
-            node = _intern(key)
+            node = object.__new__(cls)
+            _remember(node, "kind", kind)
+            _remember(node, "ident", ident)
+            _keep(node, key)
         return node
 
     @property
@@ -146,11 +163,14 @@ class Send(_Node):
 
     def __new__(cls, subject: Name, objects: tuple[Name, ...]) -> "Send":
         key = (cls, subject, objects)
-        node = _interned(key)
+        node = _nodes.get(key, _MISSING)()
         if node is None:
             if not objects:
                 raise ValueError("send prefix needs at least one object")
-            node = _intern(key)
+            node = object.__new__(cls)
+            _remember(node, "subject", subject)
+            _remember(node, "objects", objects)
+            _keep(node, key)
         return node
 
 
@@ -159,7 +179,7 @@ class Receive(_Node):
 
     def __new__(cls, subject: Name, binders: tuple[Name, ...]) -> "Receive":
         key = (cls, subject, binders)
-        node = _interned(key)
+        node = _nodes.get(key, _MISSING)()
         if node is None:
             if not binders:
                 raise ValueError("receive prefix needs at least one binder")
@@ -167,7 +187,10 @@ class Receive(_Node):
                 raise ValueError("receive binders must be variables")
             if len(set(binders)) != len(binders):
                 raise ValueError("receive binders must be pairwise distinct")
-            node = _intern(key)
+            node = object.__new__(cls)
+            _remember(node, "subject", subject)
+            _remember(node, "binders", binders)
+            _keep(node, key)
         return node
 
 
@@ -176,7 +199,14 @@ class Match(_Node):
 
     def __new__(cls, lhs: Name, rhs: Name, inner: "Prefix") -> "Match":
         key = (cls, lhs, rhs, inner)
-        return _interned(key) or _intern(key)
+        node = _nodes.get(key, _MISSING)()
+        if node is None:
+            node = object.__new__(cls)
+            _remember(node, "lhs", lhs)
+            _remember(node, "rhs", rhs)
+            _remember(node, "inner", inner)
+            _keep(node, key)
+        return node
 
 
 Prefix = Union[Send, Receive, Match]
@@ -193,7 +223,11 @@ class Nil(_Process):
 
     def __new__(cls) -> "Nil":
         key = (cls,)
-        return _interned(key) or _intern(key)
+        node = _nodes.get(key, _MISSING)()
+        if node is None:
+            node = object.__new__(cls)
+            _keep(node, key)
+        return node
 
 
 class Prefixed(_Process):
@@ -201,7 +235,13 @@ class Prefixed(_Process):
 
     def __new__(cls, prefix: Prefix, continuation: "Process") -> "Prefixed":
         key = (cls, prefix, continuation)
-        return _interned(key) or _intern(key)
+        node = _nodes.get(key, _MISSING)()
+        if node is None:
+            node = object.__new__(cls)
+            _remember(node, "prefix", prefix)
+            _remember(node, "continuation", continuation)
+            _keep(node, key)
+        return node
 
 
 class Par(_Process):
@@ -209,7 +249,13 @@ class Par(_Process):
 
     def __new__(cls, left: "Process", right: "Process") -> "Par":
         key = (cls, left, right)
-        return _interned(key) or _intern(key)
+        node = _nodes.get(key, _MISSING)()
+        if node is None:
+            node = object.__new__(cls)
+            _remember(node, "left", left)
+            _remember(node, "right", right)
+            _keep(node, key)
+        return node
 
 
 class Restrict(_Process):
@@ -217,13 +263,16 @@ class Restrict(_Process):
 
     def __new__(cls, channels: tuple[Name, ...], body: "Process") -> "Restrict":
         key = (cls, channels, body)
-        node = _interned(key)
+        node = _nodes.get(key, _MISSING)()
         if node is None:
             if not channels:
                 raise ValueError("restriction needs at least one channel")
             if any(not k.is_channel for k in channels):
                 raise ValueError("restriction binds channels only")
-            node = _intern(key)
+            node = object.__new__(cls)
+            _remember(node, "channels", channels)
+            _remember(node, "body", body)
+            _keep(node, key)
         return node
 
 
@@ -232,7 +281,12 @@ class Repl(_Process):
 
     def __new__(cls, body: "Process") -> "Repl":
         key = (cls, body)
-        return _interned(key) or _intern(key)
+        node = _nodes.get(key, _MISSING)()
+        if node is None:
+            node = object.__new__(cls)
+            _remember(node, "body", body)
+            _keep(node, key)
+        return node
 
 
 Process = Union[Nil, Prefixed, Par, Restrict, Repl]
@@ -614,14 +668,19 @@ def validate_cpi(p: Process) -> ValidationReport:
     Accepted iff every send object is a channel, every receive binder is a
     variable (guaranteed by construction) and every name is used as a
     communication subject at a single arity.
-    """
-    v = _Validator()
-    # Alpha-rename apart first so shadowed binders cannot produce
-    # spurious sort clashes.
-    v.walk(canonicalize(p), "")
 
+    The report reads as if it were made on ``canonicalize(p)``: its paths
+    and names are those of the canonical form, so shadowed binders cannot
+    produce spurious sort clashes.  The walk numbers binders as
+    :func:`canonicalize` does instead of building that copy, and keeps
+    the names of a term that :func:`canonicalize` returned.
+    """
+    # canonicalize records None on the forms it returns.
+    canonical = getattr(p, "_canonical", p) is None
+    v = _Validator(None if canonical else free_names(p))
+    v.walk(p, None)
     sort_viols = [
-        Violation(sorted(paths.values())[0],
+        Violation(min(map(_path_text, paths.values())),
                   f"name {n.ident!r} used at arities {sorted(paths)}")
         for n, paths in sorted(v.arities.items(), key=lambda kv: (kv[0].kind, kv[0].ident))
         if len(paths) > 1
@@ -629,40 +688,77 @@ def validate_cpi(p: Process) -> ValidationReport:
     return ValidationReport(tuple(v.kind_viols), tuple(sort_viols))
 
 
+def _path_text(path: Optional[tuple]) -> str:
+    """The text of a path kept as ``(parent path, step)`` links."""
+    steps = []
+    while path is not None:
+        path, step = path
+        steps.append(step)
+    return "".join(reversed(steps))
+
+
 class _Validator:
-    """One pass of :func:`validate_cpi`: the kind violations found so far
-    and, per subject, the first path at which each arity is used."""
+    """One pass of :func:`validate_cpi`: the kind violations found so far,
+    per subject the first path at which each arity is used, and the
+    canonical name of each binder in scope.  Given no free names, the
+    term is canonical and its binders keep their names."""
 
-    __slots__ = ("kind_viols", "arities")
+    __slots__ = ("kind_viols", "arities", "env", "fresh")
 
-    def __init__(self) -> None:
+    def __init__(self, free: Optional[frozenset[Name]]) -> None:
         self.kind_viols: list[Violation] = []
-        self.arities: dict[Name, dict[int, str]] = {}
+        self.arities: dict[Name, dict[int, tuple]] = {}
+        self.env: dict[Name, Name] = {}
+        self.fresh = None if free is None else _Canonicalizer(free).fresh
 
-    def prefix(self, pre: Prefix, path: str) -> None:
-        match pre:
-            case Send(subject=s, objects=objs):
-                self.arities.setdefault(s, {}).setdefault(len(objs), path)
-                for o in objs:
-                    if not o.is_channel:
-                        self.kind_viols.append(Violation(
-                            path, f"send object {o.ident!r} is a variable"))
-            case Receive(subject=s, binders=bs):
-                self.arities.setdefault(s, {}).setdefault(len(bs), path)
-            case Match(inner=inner):
-                self.prefix(inner, path + "/match")
-
-    def walk(self, t: Process, path: str) -> None:
-        match t:
-            case Nil():
-                pass
-            case Prefixed(prefix=pre, continuation=cont):
-                self.prefix(pre, path + "/prefix")
-                self.walk(cont, path + "/cont")
-            case Par(left=l, right=r):
-                self.walk(l, path + "/par.left")
-                self.walk(r, path + "/par.right")
-            case Restrict(body=body):
-                self.walk(body, path + "/new")
-            case Repl(body=body):
-                self.walk(body, path + "/repl")
+    def walk(self, t: Process, path: Optional[tuple]) -> None:
+        """Check ``t``, found at ``path``.  The walk follows continuations
+        and bodies in a loop; a binder it meets stays renamed in ``env``
+        for the rest of the loop, which is its scope, and is restored
+        when the walk returns."""
+        env, arities, fresh = self.env, self.arities, self.fresh
+        shadowed = []
+        while True:
+            match t:
+                case Prefixed(prefix=pre, continuation=cont):
+                    at = (path, "/prefix")
+                    while isinstance(pre, Match):
+                        pre, at = pre.inner, (at, "/match")
+                    s = pre.subject
+                    s = env.get(s, s)
+                    if isinstance(pre, Send):
+                        objs = pre.objects
+                        arities.setdefault(s, {}).setdefault(len(objs), at)
+                        for o in objs:
+                            if not o.is_channel:
+                                self.kind_viols.append(Violation(
+                                    _path_text(at), "send object "
+                                    f"{env.get(o, o).ident!r} is a variable"))
+                    else:
+                        bs = pre.binders
+                        arities.setdefault(s, {}).setdefault(len(bs), at)
+                        if fresh is not None:
+                            for b in bs:
+                                shadowed.append((b, env.get(b)))
+                                env[b] = fresh(VAR)
+                    t, path = cont, (path, "/cont")
+                case Par(left=l, right=r):
+                    self.walk(l, (path, "/par.left"))
+                    t, path = r, (path, "/par.right")
+                case Restrict(channels=ks, body=body):
+                    # The canonical form nests one restriction per channel.
+                    for k in ks:
+                        if fresh is not None:
+                            shadowed.append((k, env.get(k)))
+                            env[k] = fresh(CHAN)
+                        path = (path, "/new")
+                    t = body
+                case Repl(body=body):
+                    t, path = body, (path, "/repl")
+                case _:
+                    break
+        for b, outer in reversed(shadowed):
+            if outer is None:
+                del env[b]
+            else:
+                env[b] = outer

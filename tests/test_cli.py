@@ -120,12 +120,21 @@ def test_main_callable_directly(capsys):
 
 
 @pytest.mark.parametrize("command, text", [
-    ("encode", "a!<b>." * 170 + "0\n"),
+    ("encode", "a!<b>." * 250 + "0\n"),
     ("parse", "a!<b>." * 1000 + "0\n"),
     ("parse", " | ".join(["a!<b>.0"] * 1000) + "\n"),
-], ids=["encode-170-prefixes", "parse-1000-prefixes", "parse-1000-way-par"])
+], ids=["encode-250-prefixes", "parse-1000-prefixes", "parse-1000-way-par"])
 def test_term_too_deep_exit_3(command, text):
     code, out, err = run_cli([command, "-"], text)
     assert code == EXIT_TOO_DEEP == 3 and out == ""
     assert err.startswith("error: term too deep")
     assert len(err.splitlines()) == 1
+
+
+def test_encode_170_prefixes():
+    # the translation, five times deeper than the source, is validated
+    # without a canonical copy and printed
+    code, out, _ = run_cli(["encode", "-", "--json"], "a!<b>." * 170 + "0\n")
+    payload = json.loads(out)
+    assert code == 0 and payload["validation"]["ok"]
+    assert payload["encoded"].count("#m_b!<") == 170

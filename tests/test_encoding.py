@@ -1,6 +1,8 @@
 """Forwarding-free translation: structure, validity, homomorphism,
 name invariance, reduction completeness."""
 
+import gc
+import itertools
 import json
 import random
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from rough_terms import RESERVED_RECEIVED, RESERVED_RESTRICTED, rough_process
 from cpi.bisim import check
 from cpi.encoding import (
     CompletenessReport, EncodingReport, SourceModeError, check_completeness,
@@ -18,9 +21,9 @@ from cpi.gen import random_pi_process
 from cpi.lts import tau_levels
 from cpi.parser import PI, parse, render
 from cpi.syntax import (
-    Par, Prefixed, Receive, ReservedNameError, Restrict, Send,
-    alpha_equivalent, canonicalize, chan, free_names, substitute,
-    validate_cpi, var,
+    Match, Name, Par, Prefixed, Receive, Repl, ReservedNameError, Restrict,
+    Send, alpha_equivalent, bound_names, canonicalize, chan, free_names,
+    substitute, validate_cpi, var,
 )
 
 ENCODING_CORPUS = sorted(
@@ -218,3 +221,90 @@ def test_completeness_independent_of_history():
     here = [check_completeness(parse(t, mode=PI), 12, 4).to_json()
             for t in texts]
     assert here == json.loads(fresh)
+
+
+# ---------------------------------------------------------------------------
+# Renaming reserved binders during the translation
+
+
+def _rename_reserved_binders(p):
+    """``p`` with its reserved binders renamed, in preorder, to the first
+    ``srcN`` identifiers that occur nowhere in ``p``."""
+    taken = {n.ident for n in free_names(p) | bound_names(p)}
+    supply = (f"src{i}" for i in itertools.count() if f"src{i}" not in taken)
+
+    def rebind(binders, env):
+        env = dict(env)
+        for b in binders:
+            if b.is_reserved:
+                env[b] = Name(b.kind, next(supply))
+        return tuple(env.get(b, b) for b in binders), env
+
+    def prefix(pre, env):
+        if isinstance(pre, Match):
+            inner, inner_env = prefix(pre.inner, env)
+            return Match(env.get(pre.lhs, pre.lhs), env.get(pre.rhs, pre.rhs),
+                         inner), inner_env
+        subject = env.get(pre.subject, pre.subject)
+        if isinstance(pre, Send):
+            return Send(subject, tuple(env.get(o, o) for o in pre.objects)), env
+        binders, env = rebind(pre.binders, env)
+        return Receive(subject, binders), env
+
+    def walk(t, env):
+        if isinstance(t, Prefixed):
+            pre, inner_env = prefix(t.prefix, env)
+            return Prefixed(pre, walk(t.continuation, inner_env))
+        if isinstance(t, Par):
+            return Par(walk(t.left, env), walk(t.right, env))
+        if isinstance(t, Restrict):
+            channels, inner_env = rebind(t.channels, env)
+            return Restrict(channels, walk(t.body, inner_env))
+        if isinstance(t, Repl):
+            return Repl(walk(t.body, env))
+        return t
+
+    return walk(p, {})
+
+
+def _canonical_sources():
+    """Sources with reserved binders: the encoding corpus, canonical
+    forms, and rough terms whose reserved binders shadow each other."""
+    for f in ENCODING_CORPUS:
+        yield parse(f.read_text(), mode=PI)
+    rng = random.Random(707)
+    for i in range(600):
+        size = rng.randint(1, 30)
+        if i % 3 == 0:
+            yield canonicalize(random_pi_process(rng, size))
+        elif i % 3 == 1:
+            yield canonicalize(rough_process(rng, size, polyadic=False))
+        else:
+            yield rough_process(rng, size, polyadic=False,
+                                restricted=RESERVED_RESTRICTED,
+                                received=RESERVED_RECEIVED)
+
+
+def test_encode_renames_reserved_binders_as_a_renamed_copy_would():
+    # the source names src0 and src1 must be skipped
+    renamed = 0
+    for p in _canonical_sources():
+        for start in (0, 7):
+            want = render(encode(_rename_reserved_binders(p), start))
+            assert render(encode(p, start)) == want, render(p)
+        renamed += "src" in want
+    assert renamed >= 250
+
+
+def test_encode_leaves_no_garbage():
+    # one translation makes no reference cycle for the cyclic GC to free
+    p = parse("new a,b in (a!<b>.[a=b]a?(x).x!<b>.0 | !a?(y).y!<a>.0)",
+              mode=PI)
+    gc.collect()
+    gc.disable()
+    try:
+        e = encode(p)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert "src0" in render(e)

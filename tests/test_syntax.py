@@ -6,18 +6,25 @@ import pickle
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from naive_lts import naive_canon, naive_subst
-from cpi.gen import random_pi_process
-from cpi.parser import render
+from rough_terms import rough_process
+from cpi import syntax
+from cpi.encoding import SourceModeError, encode
+from cpi.gen import random_cpi_process, random_pi_process
+from cpi.parser import PI, parse, render
 from cpi.syntax import (
-    Match, NIL, Par, Prefixed, Receive, Repl, Restrict, Send,
-    SubstitutionDomainError, _Canonicalizer, alpha_equivalent, bound_names,
-    canonicalize, chan, fnn, free_names, free_output_objects, substitute,
-    validate_cpi, var,
+    Match, NIL, Name, Par, Prefixed, Receive, Repl, Restrict, Send,
+    SubstitutionDomainError, ValidationReport, Violation, _Canonicalizer,
+    alpha_equivalent, bound_names, canonicalize, chan, fnn, free_names,
+    free_output_objects, prefix_chain, substitute, validate_cpi, var,
 )
+
+CORPUS_SCRIPTS = sorted(
+    (Path(__file__).resolve().parent.parent / "corpus").glob("*/*.cpi"))
 
 
 a, b, c = chan("a"), chan("b"), chan("c")
@@ -234,3 +241,158 @@ def test_validate_cpi_leaves_no_garbage():
     finally:
         gc.enable()
     assert report.kind_violations and report.sort_violations
+
+
+# ---------------------------------------------------------------------------
+# validate_cpi against a walk over the canonical copy
+
+
+def _reference_validate(p):
+    """validate_cpi as it is defined: canonicalize ``p``, then walk the
+    copy with string paths."""
+    kinds, arities = [], {}
+
+    def walk(t, path):
+        if isinstance(t, Prefixed):
+            pre, at = t.prefix, path + "/prefix"
+            while isinstance(pre, Match):
+                pre, at = pre.inner, at + "/match"
+            names = pre.objects if isinstance(pre, Send) else pre.binders
+            arities.setdefault(pre.subject, {}).setdefault(len(names), at)
+            if isinstance(pre, Send):
+                kinds.extend(Violation(at, f"send object {o.ident!r} is a variable")
+                             for o in names if o.is_variable)
+            walk(t.continuation, path + "/cont")
+        elif isinstance(t, Par):
+            walk(t.left, path + "/par.left")
+            walk(t.right, path + "/par.right")
+        elif isinstance(t, Restrict):
+            walk(t.body, path + "/new")
+        elif isinstance(t, Repl):
+            walk(t.body, path + "/repl")
+
+    walk(canonicalize(p), "")
+    sorts = [Violation(min(paths.values()),
+                       f"name {n.ident!r} used at arities {sorted(paths)}")
+             for n, paths in sorted(arities.items(),
+                                    key=lambda kv: (kv[0].kind, kv[0].ident))
+             if len(paths) > 1]
+    return ValidationReport(tuple(kinds), tuple(sorts))
+
+
+def _validation_cases():
+    for f in CORPUS_SCRIPTS:
+        p = parse(f.read_text(), mode=PI)
+        yield p
+        try:
+            yield encode(p)
+        except SourceModeError:
+            pass
+    rng = random.Random(606)
+    for i in range(600):
+        size = rng.randint(1, 30)
+        p = (random_pi_process(rng, size), random_cpi_process(rng, size),
+             rough_process(rng, size, variables=(var("v"),)))[i % 3]
+        yield p
+        if i % 3 == 2:
+            yield canonicalize(p)
+        try:
+            yield encode(p)
+        except SourceModeError:
+            pass
+
+
+def _shadows(t, bound=frozenset()):
+    """Whether a binder of ``t`` rebinds a name already bound around it."""
+    if isinstance(t, Prefixed):
+        _, core = prefix_chain(t.prefix)
+        new = frozenset(core.binders) if isinstance(core, Receive) else frozenset()
+        return bool(new & bound) or _shadows(t.continuation, bound | new)
+    if isinstance(t, Restrict):
+        new = frozenset(t.channels)
+        return bool(new & bound) or _shadows(t.body, bound | new)
+    if isinstance(t, Par):
+        return _shadows(t.left, bound) or _shadows(t.right, bound)
+    if isinstance(t, Repl):
+        return _shadows(t.body, bound)
+    return False
+
+
+def test_validate_cpi_agrees_with_canonical_walk():
+    # same reports, paths and canonical names included, as a walk over
+    # the canonical copy; the cases hold shadowed binders, multi-channel
+    # restrictions, variables sent as objects and arity clashes
+    seen = {"kind": 0, "sort": 0, "shadowing": 0, "encoded": 0}
+    for p in _validation_cases():
+        report = validate_cpi(p)
+        assert report == _reference_validate(p), render(p)
+        seen["kind"] += bool(report.kind_violations)
+        seen["sort"] += bool(report.sort_violations)
+        seen["shadowing"] += _shadows(p)
+        seen["encoded"] += "#n_" in render(p)
+    assert len(CORPUS_SCRIPTS) >= 15
+    assert min(seen.values()) >= 40 and seen["encoded"] >= 300, seen
+
+
+# ---------------------------------------------------------------------------
+# The intern table
+
+
+def _unique_term():
+    k, x = chan("zq_k"), var("zq_x")
+    return Restrict((k,), Prefixed(Receive(chan("zq_a"), (x,)),
+                                   Par(Prefixed(Send(x, (k,)), NIL),
+                                       Repl(Prefixed(Match(k, x, Send(k, (k,))),
+                                                     NIL)))))
+
+
+def _zq_names():
+    return [key for key in list(syntax._nodes)
+            if key[0] is Name and key[2].startswith("zq_")]
+
+
+def test_dropped_terms_leave_the_intern_table():
+    gc.collect()
+    before = len(syntax._nodes)
+    p = _unique_term()
+    render(p), canonicalize(p), free_names(p)
+    assert len(syntax._nodes) > before + 10 and len(_zq_names()) == 3
+    del p
+    gc.collect()
+    assert _zq_names() == [] and len(syntax._nodes) == before
+
+
+def test_rebuilt_node_outlives_the_stale_callback():
+    key = (Name, "chan", "zq_r")
+    n = chan("zq_r")
+    stale = syntax._nodes[key]
+    del n
+    assert key not in syntax._nodes and stale() is None
+    # as if the dead node's callback had not run yet: its entry remains
+    syntax._nodes[key] = stale
+    n = chan("zq_r")
+    live = syntax._nodes[key]
+    assert live is not stale and live() is n
+    syntax._forget(stale)
+    assert syntax._nodes[key] is live and chan("zq_r") is n
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Name("port", "a"),
+    lambda: Name("chan", ""),
+    lambda: Send(a, ()),
+    lambda: Receive(a, ()),
+    lambda: Receive(a, (b,)),
+    lambda: Receive(a, (x, x)),
+    lambda: Restrict((), NIL),
+    lambda: Restrict((x,), NIL),
+], ids=["name-kind", "name-empty", "send-empty", "receive-empty",
+        "receive-channel", "receive-repeat", "restrict-empty",
+        "restrict-variable"])
+def test_bad_nodes_raise_and_are_not_interned(build):
+    gc.collect()
+    before = len(syntax._nodes)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            build()
+    assert len(syntax._nodes) == before

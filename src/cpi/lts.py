@@ -4,6 +4,12 @@ Early semantics with a finite input cut: input actions are instantiated
 over a caller-supplied environment of channels plus one canonical fresh
 channel per tuple position.  Replication is unfolded one copy per
 derivation, never structurally, so successor sets are always finite.
+
+An input is instantiated only on a subject in the environment, which
+holds the state's free channels: a receive on a restricted channel can
+never be seen from outside, so it is never instantiated.  A closed state
+has no input moves, and one transition set whether inputs are asked for
+or not.
 """
 
 from __future__ import annotations
@@ -203,14 +209,21 @@ class Engine:
 
     def successors(self, p: Process, environment: Iterable[Name] = (),
                    include_inputs: bool = True) -> tuple[Transition, ...]:
-        """As the module-level :func:`successors`, cached per engine."""
+        """As the module-level :func:`successors`, cached per engine.
+
+        A closed state with no extra environment has no input moves, so
+        both settings of ``include_inputs`` share one cache entry and
+        return the same tuple.
+        """
         p = canonicalize(p)
         env = (frozenset(n for n in free_names(p) if n.is_channel)
                | frozenset(environment))
-        key = (p, env, include_inputs)
+        # With env empty no input move reaches the top (see _succ).
+        inputs = include_inputs and bool(env)
+        key = (p, env, inputs)
         hit = self._trans_cache.get(key)
         if hit is None:
-            hit = self._trans_cache[key] = self._transitions(p, env, include_inputs)
+            hit = self._trans_cache[key] = self._transitions(p, env, inputs)
         return hit
 
     def labels(self, p: Process,
@@ -222,7 +235,7 @@ class Engine:
                | frozenset(environment))
         # successors sorts by the action's key first, and the key is
         # one-to-one here: every name in an action is a channel.
-        return tuple(sorted({a for a, _, _ in self._succ(p, env, True)},
+        return tuple(sorted({a for a, _, _ in self._succ(p, env, bool(env))},
                             key=_action_sort_key))
 
     def _transitions(self, p: Process, env: frozenset[Name],
@@ -289,7 +302,14 @@ class Engine:
                         if core.subject.is_channel and all(o.is_channel for o in core.objects):
                             out.append((OutAct(core.subject, core.objects), cont,
                                         rules + ("out",)))
-                    elif inputs and core.subject.is_channel:
+                    elif inputs and core.subject in env and core.subject.is_channel:
+                        # Exact, not a heuristic.  A free-input move only
+                        # travels upward: par-l/par-r, rep-act and res lift
+                        # it with its subject unchanged, and no rule
+                        # consumes one (comm and close derive their inputs
+                        # with _input_on).  env holds the top state's free
+                        # channels, so a subject outside env is bound by a
+                        # restriction on the way up, and res drops the move.
                         cands = _input_candidates(env, len(core.binders))
                         for tup in itertools.product(*cands):
                             target = substitute(cont, dict(zip(core.binders, tup)))
@@ -373,9 +393,12 @@ def successors(p: Process, environment: Iterable[Name] = (),
     """All transitions of ``p``, deduplicated up to alpha-equivalence.
 
     ``environment`` extends the input-instantiation set beyond the free
-    channels of ``p``.  With ``include_inputs=False`` free input actions
-    are omitted (internal synchronizations are still found), which is
-    exact for tau-only exploration of closed processes.
+    channels of ``p``.  Inputs are instantiated only on channels of that
+    set: a receive on a restricted channel has no visible move.  With
+    ``include_inputs=False`` free input actions are omitted (internal
+    synchronizations are still found), which is exact for tau-only
+    exploration of closed processes; for a closed ``p`` and an empty
+    ``environment`` both settings give the same transitions.
     """
     return Engine().successors(p, environment, include_inputs)
 

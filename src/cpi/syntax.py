@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 CHAN = "chan"
 VAR = "var"
@@ -676,9 +676,22 @@ def validate_cpi(p: Process) -> ValidationReport:
     the names of a term that :func:`canonicalize` returned.
     """
     # canonicalize records None on the forms it returns.
-    canonical = getattr(p, "_canonical", p) is None
-    v = _Validator(None if canonical else free_names(p))
-    v.walk(p, None)
+    if getattr(p, "_canonical", p) is None:
+        v = _Validator(None)
+        v.walk(p, None)
+    else:
+        # canonicalize numbers binders #0, #1, ... skipping the identifiers
+        # free in p.  A free identifier is almost never of that form, so
+        # number them skipping nothing, note the free '#' identifiers on
+        # the way, and walk again with free_names(p) only if one of them
+        # may be a number the walk used.
+        numbering = _Canonicalizer(frozenset())
+        v = _Validator(numbering.fresh)
+        v.walk(p, None)
+        used = next(numbering.counter)
+        if any(i[1:].isdecimal() and int(i[1:]) < used for i in v.reserved):
+            v = _Validator(_Canonicalizer(free_names(p)).fresh)
+            v.walk(p, None)
     sort_viols = [
         Violation(min(map(_path_text, paths.values())),
                   f"name {n.ident!r} used at arities {sorted(paths)}")
@@ -699,17 +712,19 @@ def _path_text(path: Optional[tuple]) -> str:
 
 class _Validator:
     """One pass of :func:`validate_cpi`: the kind violations found so far,
-    per subject the first path at which each arity is used, and the
-    canonical name of each binder in scope.  Given no free names, the
-    term is canonical and its binders keep their names."""
+    per subject the first path at which each arity is used, the
+    canonical name of each binder in scope, and the free identifiers
+    that start with ``#``.  Given no ``fresh`` binder names, the term is
+    canonical, its binders keep their names and nothing is noted."""
 
-    __slots__ = ("kind_viols", "arities", "env", "fresh")
+    __slots__ = ("kind_viols", "arities", "env", "fresh", "reserved")
 
-    def __init__(self, free: Optional[frozenset[Name]]) -> None:
+    def __init__(self, fresh: Optional[Callable[[str], Name]]) -> None:
         self.kind_viols: list[Violation] = []
         self.arities: dict[Name, dict[int, tuple]] = {}
         self.env: dict[Name, Name] = {}
-        self.fresh = None if free is None else _Canonicalizer(free).fresh
+        self.fresh = fresh
+        self.reserved: set[str] = set()
 
     def walk(self, t: Process, path: Optional[tuple]) -> None:
         """Check ``t``, found at ``path``.  The walk follows continuations
@@ -717,18 +732,30 @@ class _Validator:
         for the rest of the loop, which is its scope, and is restored
         when the walk returns."""
         env, arities, fresh = self.env, self.arities, self.fresh
+        reserved = None if fresh is None else self.reserved
         shadowed = []
         while True:
             match t:
                 case Prefixed(prefix=pre, continuation=cont):
                     at = (path, "/prefix")
                     while isinstance(pre, Match):
+                        if reserved is not None:
+                            for n in (pre.lhs, pre.rhs):
+                                if n.ident[0] == "#" and n not in env:
+                                    reserved.add(n.ident)
                         pre, at = pre.inner, (at, "/match")
                     s = pre.subject
-                    s = env.get(s, s)
+                    if s in env:
+                        s = env[s]
+                    elif reserved is not None and s.ident[0] == "#":
+                        reserved.add(s.ident)
                     if isinstance(pre, Send):
                         objs = pre.objects
                         arities.setdefault(s, {}).setdefault(len(objs), at)
+                        if reserved is not None:
+                            for o in objs:
+                                if o.ident[0] == "#" and o not in env:
+                                    reserved.add(o.ident)
                         for o in objs:
                             if not o.is_channel:
                                 self.kind_viols.append(Violation(

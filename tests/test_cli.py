@@ -1,12 +1,17 @@
 """Command-line interface: commands, exit codes, JSON output."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cpi.cli import EXIT_TOO_DEEP, main
+from cpi.corpus import load_corpus
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def run_cli(args, stdin=""):
@@ -138,3 +143,23 @@ def test_encode_170_prefixes():
     payload = json.loads(out)
     assert code == 0 and payload["validation"]["ok"]
     assert payload["encoded"].count("#m_b!<") == 170
+
+
+# The sha256 of the exit codes and JSON outputs of ``cpi step`` on every
+# corpus script, with and without --no-inputs, and with an extra
+# environment that holds a channel named like a canonical binder.  A
+# change that alters this output on purpose changes the answer, and says
+# so where it replaces the digest.
+STEP_SHA256 = (
+    "2733f493f8203a1c89d7e7d70d706cc69fd507b691865f24c431c5be1319453e")
+
+
+def test_step_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for case in load_corpus(CORPUS):
+        for extra in ([], ["--no-inputs"], ["--env", "e,#0"],
+                      ["--env", "e,#0", "--no-inputs"]):
+            code = main(["step", str(case.path), "--mode", case.mode,
+                         "--json", *extra])
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == STEP_SHA256

@@ -2,6 +2,7 @@
 name invariance, reduction completeness."""
 
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -308,3 +309,19 @@ def test_encode_leaves_no_garbage():
     finally:
         gc.enable()
     assert "src0" in render(e)
+
+
+# The sha256 of the JSON reports of check_completeness(x, 12, d) for
+# every corpus/encoding source x and d = 4, 7, each dumped with sorted
+# keys and the dumps joined.  A change that alters a report on purpose
+# changes the answer, and says so where it replaces the digest.
+COMPLETENESS_SHA256 = (
+    "e49dd1054db12ea373d809f0c18fa3b4da29b12fb147a00e26fc61bd08ec9683")
+
+
+def test_completeness_reports_are_pinned():
+    sources = [parse(f.read_text(), mode=PI) for f in ENCODING_CORPUS]
+    dump = "".join(
+        json.dumps(check_completeness(x, 12, d).to_json(), sort_keys=True)
+        for d in (4, 7) for x in sources)
+    assert hashlib.sha256(dump.encode()).hexdigest() == COMPLETENESS_SHA256

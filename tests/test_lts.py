@@ -6,13 +6,17 @@ import random
 import pytest
 
 from naive_lts import naive_step_set, normalize
+from cpi.encoding import encode_with_handlers
 from cpi.gen import random_cpi_process, random_pi_process
 from cpi.lts import (
     BoundOutAct, Engine, InAct, NoSuchTransition, OutAct, TAU, TauAct,
     run_trace, successors, tau_reachable,
 )
 from cpi.parser import PI, parse, render
-from cpi.syntax import NIL, SortError, canonicalize, chan, free_names
+from cpi.syntax import (
+    NIL, Par, Prefixed, Receive, Repl, Restrict, SortError, canonicalize,
+    chan, free_names, par, var,
+)
 
 
 def label_tuple(a):
@@ -212,3 +216,113 @@ def test_engine_labels_are_the_actions_of_successors():
         env = {n for n in free_names(c) if n.is_channel} | set(extra)
         assert ({normalize(label_tuple(a), NIL)[0] for a in want}
                 == {lab for lab, _ in naive_step_set(c, env)}), render(p)
+
+
+# ---------------------------------------------------------------------------
+# Inputs are instantiated only on channels of the environment
+
+
+# Extra channels, one named like a canonical binder: #0 is bound in most
+# of the states below, so a receive on the bound #0 has its subject in
+# the environment, is instantiated, and must still be dropped by res.
+EXTRAS = ((), (chan("e"),), (chan("a"),), (chan("#0"),), (chan("#0"), chan("e")))
+
+
+def receivers_under_new(rng):
+    """A random pi term whose restrictions guard receivers on their own
+    channels, some replicated.  It is closed when every channel of the
+    pool is restricted; otherwise it also receives on a free channel."""
+    pool = [chan(c) for c in "abcd"]
+    ks = rng.sample(pool, rng.choice((1, 2, 4, 4)))
+    y = var("y")
+    parts = []
+    for k in ks + [c for c in pool if c not in ks][:1]:
+        cont = random_pi_process(rng, rng.randint(1, 3), free_variables=(y,),
+                                 repl_weight=0)
+        recv = Prefixed(Receive(k, (y,)), cont)
+        parts.append(Repl(recv) if rng.random() < 0.3 else recv)
+    parts.append(random_pi_process(rng, rng.randint(1, 5), repl_weight=0.1))
+    rng.shuffle(parts)
+    p = Restrict(tuple(ks), par(*parts))
+    if rng.random() < 0.2:
+        p = Repl(p)
+    if rng.random() < 0.3:
+        p = Par(p, random_pi_process(rng, rng.randint(1, 3), repl_weight=0))
+    return p
+
+
+def translations():
+    """Small translations with their handlers, open and closed, and the
+    states one tau step away."""
+    sources = ["new a,b in (a!<b>.0 | a?(x).0)",
+               "new a,b in (a!<b>.0 | a?(x).b!<x>.0)",
+               "new k in (k!<k>.0 | !k?(x).0)",
+               "new k in (new l in k!<l>.0 | k?(x).0)",
+               "a!<b>.0",
+               "new a in (a!<b>.0 | a?(x).0)"]
+    out = []
+    for text in sources:
+        enc = encode_with_handlers(parse(text, mode=PI))
+        out.append(enc)
+        out.extend(tr.target for tr in successors(enc, include_inputs=False)
+                   if isinstance(tr.action, TauAct))
+    return out
+
+
+def single_news(shape):
+    """An oracle shape with ``new a,b in P`` written ``new a in new b in
+    P``, as it is by definition (a close on a bound output of two names
+    gives the oracle the first)."""
+    if not isinstance(shape, tuple):
+        return shape
+    if shape[:1] == ("new",) and len(shape[1]) > 1:
+        shape = ("new", shape[1][:1], ("new", shape[1][1:], shape[2]))
+    return tuple(single_news(x) for x in shape)
+
+
+def assert_engine_is_oracle(p, extra):
+    c = canonicalize(p)
+    env = {n for n in free_names(c) if n.is_channel} | set(extra)
+    want = {single_news(s) for s in naive_step_set(c, env)}
+    assert engine_step_set(c, extra) == want, (render(c), extra)
+    # without inputs: the oracle's steps less its input moves
+    got = {normalize(label_tuple(tr.action), tr.target)
+           for tr in successors(c, extra, include_inputs=False)}
+    assert got == {s for s in want if s[0][0] != "in"}, (render(c), extra)
+    return want
+
+
+def test_oracle_conformance_receivers_under_new():
+    rng = random.Random(808)
+    seen = {"closed": 0, "open": 0, "inputs": 0}
+    for i in range(120):
+        p = receivers_under_new(rng)
+        want = assert_engine_is_oracle(p, EXTRAS[i % len(EXTRAS)])
+        seen["open" if free_names(p) else "closed"] += 1
+        seen["inputs"] += any(lab[0] == "in" for lab, _ in want)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_oracle_conformance_translations():
+    states = translations()
+    assert len(states) >= 12
+    for i, p in enumerate(states):
+        assert_engine_is_oracle(p, EXTRAS[i % 2 * 3])
+
+
+def test_closed_state_has_one_transition_set():
+    # one cache entry and one tuple for a closed state, whatever
+    # include_inputs says; labels read the same entry
+    rng = random.Random(909)
+    closed = [s for s in translations() if not free_names(s)]
+    while len(closed) < 40:
+        p = receivers_under_new(rng)
+        if not free_names(p):
+            closed.append(p)
+    engine = Engine()
+    for p in closed:
+        every = engine.successors(p)
+        assert engine.successors(p, include_inputs=False) is every, render(p)
+        assert not any(isinstance(tr.action, InAct) for tr in every)
+        assert engine.labels(p) == tuple(dict.fromkeys(tr.action for tr in every))
+

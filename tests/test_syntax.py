@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from naive_lts import naive_canon, naive_subst
-from rough_terms import rough_process
+from rough_terms import RESERVED_RESTRICTED, RESTRICTED, rough_process
 from cpi import syntax
 from cpi.encoding import SourceModeError, encode
 from cpi.gen import random_cpi_process, random_pi_process
@@ -300,6 +300,26 @@ def _validation_cases():
             yield encode(p)
         except SourceModeError:
             pass
+    # free names that look like canonical binders: '#0', '#3' and '#30'
+    # are numbers canonicalize skips when it gets that far, '#n_a' never
+    # is; a '#' binder may shadow them
+    free = (chan("#0"), chan("#3"), chan("#30"), chan("#n_a"), a)
+    for i in range(300):
+        yield rough_process(
+            rng, rng.randint(2, 20), channels=rng.sample(free, 2),
+            variables=(var("#1"),) if i % 2 else (),
+            restricted=(RESERVED_RESTRICTED, RESTRICTED)[i % 4 // 2])
+    # a free '#0' seen in a match guard only
+    k = chan("k")
+    yield Restrict((k,), Par(
+        Prefixed(Match(chan("#0"), a, Send(k, (a,))), NIL),
+        Prefixed(Send(k, (a, a)), NIL)))
+
+
+def _skips_a_number(p):
+    """Whether canonicalize skipped a binder number for a free name."""
+    numbers = sorted(int(n.ident[1:]) for n in bound_names(canonicalize(p)))
+    return numbers != list(range(len(numbers)))
 
 
 def _shadows(t, bound=frozenset()):
@@ -322,7 +342,8 @@ def test_validate_cpi_agrees_with_canonical_walk():
     # same reports, paths and canonical names included, as a walk over
     # the canonical copy; the cases hold shadowed binders, multi-channel
     # restrictions, variables sent as objects and arity clashes
-    seen = {"kind": 0, "sort": 0, "shadowing": 0, "encoded": 0}
+    seen = {"kind": 0, "sort": 0, "shadowing": 0, "encoded": 0,
+            "skipped": 0, "hash_free_kept": 0}
     for p in _validation_cases():
         report = validate_cpi(p)
         assert report == _reference_validate(p), render(p)
@@ -330,6 +351,10 @@ def test_validate_cpi_agrees_with_canonical_walk():
         seen["sort"] += bool(report.sort_violations)
         seen["shadowing"] += _shadows(p)
         seen["encoded"] += "#n_" in render(p)
+        skipped = _skips_a_number(p)
+        seen["skipped"] += skipped
+        seen["hash_free_kept"] += not skipped and any(
+            n.ident[1:].isdecimal() for n in free_names(p))
     assert len(CORPUS_SCRIPTS) >= 15
     assert min(seen.values()) >= 40 and seen["encoded"] >= 300, seen
 

@@ -240,14 +240,25 @@ class Engine:
 
     def _transitions(self, p: Process, env: frozenset[Name],
                      inputs: bool) -> tuple[Transition, ...]:
-        seen: dict = {}
+        # Sorted by (_action_sort_key(action), render(target)), computed
+        # group by group.  The key is one-to-one on actions (every name
+        # in an action is a channel), so a group of one action is a run
+        # of that order, and a stable sort of a group keeps the first
+        # occurrence order that the stable sort of the whole kept.  A
+        # target is rendered only to break a tie within its group.
+        groups: dict = {}
         for a, t, rl in self._succ(p, env, inputs):
+            group = groups.get(a)
+            if group is None:
+                group = groups[a] = {}
             t = canonicalize(t)
-            keyed = (a, t)
-            if keyed not in seen:
-                seen[keyed] = rl
-        trans = [Transition(p, a, t, rl) for (a, t), rl in seen.items()]
-        trans.sort(key=lambda tr: (_action_sort_key(tr.action), render(tr.target)))
+            if t not in group:
+                group[t] = rl
+        trans = []
+        for a in sorted(groups, key=_action_sort_key):
+            group = groups[a]
+            targets = sorted(group, key=render) if len(group) > 1 else group
+            trans.extend(Transition(p, a, t, group[t]) for t in targets)
         return tuple(trans)
 
     def _input_on(self, p: Process, subject: Name, objects: tuple[Name, ...]) -> list:
@@ -318,22 +329,22 @@ class Engine:
             case Par(left=l, right=r):
                 ls = self._succ(l, env, inputs)
                 rs = self._succ(r, env, inputs)
-                fn_l = free_names(l)
-                fn_r = free_names(r)
+                # free_names is memoised per node and read only by a
+                # bound output, so a state without one never computes it.
                 for a, t, rl in ls:
                     if isinstance(a, BoundOutAct):
-                        a, t = _rename_bound_away(a, t, fn_r)
+                        a, t = _rename_bound_away(a, t, free_names(r))
                     out.append((a, Par(t, r), rl + ("par-l",)))
                 for a, t, rl in rs:
                     if isinstance(a, BoundOutAct):
-                        a, t = _rename_bound_away(a, t, fn_l)
+                        a, t = _rename_bound_away(a, t, free_names(l))
                     out.append((a, Par(l, t), rl + ("par-r",)))
                 for a, t, rl in ls:
                     if isinstance(a, OutAct):
                         for t2, rl2 in self._input_on(r, a.subject, a.objects):
                             out.append((TAU, Par(t, t2), rl + rl2 + ("comm-l",)))
                     elif isinstance(a, BoundOutAct):
-                        a2, t = _rename_bound_away(a, t, fn_r)
+                        a2, t = _rename_bound_away(a, t, free_names(r))
                         for t2, rl2 in self._input_on(r, a2.subject, a2.objects):
                             out.append((TAU, Restrict(a2.bound, Par(t, t2)),
                                         rl + rl2 + ("close-l",)))
@@ -342,7 +353,7 @@ class Engine:
                         for t2, rl2 in self._input_on(l, a.subject, a.objects):
                             out.append((TAU, Par(t2, t), rl + rl2 + ("comm-r",)))
                     elif isinstance(a, BoundOutAct):
-                        a2, t = _rename_bound_away(a, t, fn_l)
+                        a2, t = _rename_bound_away(a, t, free_names(l))
                         for t2, rl2 in self._input_on(l, a2.subject, a2.objects):
                             out.append((TAU, Restrict(a2.bound, Par(t2, t)),
                                         rl + rl2 + ("close-r",)))
@@ -368,11 +379,10 @@ class Engine:
                     elif k not in action_names(a):
                         out.append((a, Restrict((k,), t), rl + ("res",)))
             case Repl(body=body):
-                fn_b = free_names(body)
                 inner = self._succ(body, env, inputs)
                 for a, t, rl in inner:
                     if isinstance(a, BoundOutAct):
-                        a, t = _rename_bound_away(a, t, fn_b)
+                        a, t = _rename_bound_away(a, t, free_names(body))
                     out.append((a, Par(t, p), rl + ("rep-act",)))
                 for a, t, rl in inner:
                     if isinstance(a, OutAct):
@@ -380,7 +390,7 @@ class Engine:
                             out.append((TAU, Par(Par(t, t2), p),
                                         rl + rl2 + ("rep-comm",)))
                     elif isinstance(a, BoundOutAct):
-                        a2, t = _rename_bound_away(a, t, fn_b)
+                        a2, t = _rename_bound_away(a, t, free_names(body))
                         for t2, rl2 in self._input_on(body, a2.subject, a2.objects):
                             out.append((TAU, Par(Restrict(a2.bound, Par(t, t2)), p),
                                         rl + rl2 + ("rep-close",)))
@@ -481,7 +491,8 @@ def tau_levels(p: Process, budget: int, engine: Optional[Engine] = None):
                     nxt.append(tr.target)
         if not nxt:
             return
-        nxt.sort(key=render)
+        if len(nxt) > 1:
+            nxt.sort(key=render)
         yield nxt
         frontier = nxt
 

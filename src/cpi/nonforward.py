@@ -85,12 +85,13 @@ def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
         raise ValueError("depth must be nonnegative")
     engine = Engine()
     root = canonicalize(p)
-    # node: (state, watched: tuple[(channel, receive_index)], trace)
-    frontier = [(root, (), ())]
+    # node: (state, watched: tuple[(channel, receive_index)], trace,
+    #        the _action_sort_key of each action of trace)
+    frontier = [(root, (), (), ())]
     seen = {(root, ())}
     for _level in range(depth - 1):
         nxt = []
-        for state, watched, trace in frontier:
+        for state, watched, trace, order in frontier:
             free = free_names(state)
             watch_map = dict(watched)
             for tr in engine.successors(state):
@@ -109,8 +110,9 @@ def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
                 key = (tr.target, new_watch)
                 if key not in seen:
                     seen.add(key)
-                    nxt.append((tr.target, new_watch, trace + (tr.action,)))
-        nxt.sort(key=lambda node: tuple(_action_sort_key(a) for a in node[2]))
+                    nxt.append((tr.target, new_watch, trace + (tr.action,),
+                                order + (_action_sort_key(tr.action),)))
+        nxt.sort(key=lambda node: node[3])
         frontier = nxt
         if not frontier:
             break
@@ -119,7 +121,7 @@ def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
         # its targets would start a level that is never searched.  Every
         # state's labels are derived, watched or not, so a sort error in
         # the last step is raised as on full successors.
-        for state, watched, trace in frontier:
+        for state, watched, trace, _ in frontier:
             acts = engine.labels(state)
             if not watched:
                 continue

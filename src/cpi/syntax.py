@@ -50,10 +50,13 @@ class ReservedNameError(CpiError):
 # Structurally equal terms are therefore the same object, so equality and
 # hashing are by identity and cost O(1) however large the term, and a
 # function of a term computed once (its free names, its canonical form,
-# its rendering) can be kept on the node.  The table holds nodes weakly:
-# it never keeps a term alive, a node's memoised values are freed with
-# it, and what the table holds never changes an answer.  (Filliâtre &
-# Conchon, *Type-safe modular hash-consing*, ML Workshop 2006.)
+# its rendering) can be kept on the node.  :func:`canonicalize` notes the
+# free names as it renumbers, so one walk gives both; it walks a second
+# time only when a free ``#k`` identifier may collide with a binder
+# number.  The table holds nodes weakly: it never keeps a term alive, a
+# node's memoised values are freed with it, and what the table holds
+# never changes an answer.  (Filliâtre & Conchon, *Type-safe modular
+# hash-consing*, ML Workshop 2006.)
 #
 # Every term is built through these constructors, so each one is written
 # out in full: a hit is one table lookup and one call of the weak
@@ -213,8 +216,8 @@ Prefix = Union[Send, Receive, Match]
 
 
 class _Process(_Node):
-    # Memoised per node, each by the one function that fills it:
-    # free_names, canonicalize and parser.render.
+    # Memoised per node: _free by free_names and canonicalize, _canonical
+    # by canonicalize, _text by parser.render.
     __slots__ = ("_free", "_canonical", "_text")
 
 
@@ -555,13 +558,26 @@ def canonicalize(p: Process) -> Process:
     multi-channel restrictions are flattened into nested single ones.
     Two processes are alpha-equivalent iff their canonical forms are
     structurally equal; the result obeys the Barendregt convention.
+
+    One walk numbers the binders skipping nothing and notes every name
+    it meets free; both ``p`` and its canonical form keep that set as
+    their :func:`free_names`.  Only when a free identifier is ``#k``
+    with ``k`` below the count of numbers used can the numbering have
+    captured it, and only then does a second walk skip the free
+    identifiers.
     """
     try:
         c = p._canonical
     except AttributeError:
-        c = _Canonicalizer(free_names(p)).walk(p, {})
+        walker = _Canonicalizer(frozenset())
+        c = walker.walk(p, {})
+        free = frozenset(walker.free)
+        if _may_collide((n.ident for n in free), next(walker.counter)):
+            c = _Canonicalizer(free).walk(p, {})
+        _remember(p, "_free", free)
         if c is not p:
             _remember(p, "_canonical", c)
+            _remember(c, "_free", free)
         # The renaming is idempotent, so a canonical form is its own
         # (recorded as None: a node must not refer to itself).
         _remember(c, "_canonical", None)
@@ -569,15 +585,23 @@ def canonicalize(p: Process) -> Process:
     return p if c is None else c
 
 
+def _may_collide(idents: Iterable[str], used: int) -> bool:
+    """Whether one of the free ``idents`` may be a binder number
+    ``#0 .. #<used - 1>`` that a numbering skipping nothing gave out."""
+    return any(i[0] == "#" and i[1:].isdecimal() and int(i[1:]) < used
+               for i in idents)
+
+
 class _Canonicalizer:
     """One renaming pass of :func:`canonicalize`: the free identifiers to
-    skip and the next binder number."""
+    skip, the next binder number and the free names met so far."""
 
-    __slots__ = ("avoid", "counter")
+    __slots__ = ("avoid", "counter", "free")
 
     def __init__(self, free: frozenset[Name]):
         self.avoid = {n.ident for n in free}
         self.counter = itertools.count()
+        self.free: set[Name] = set()
 
     def fresh(self, kind: str) -> Name:
         while True:
@@ -585,43 +609,69 @@ class _Canonicalizer:
             if ident not in self.avoid:
                 return Name(kind, ident)
 
+    # The term classes have no subclasses, so the walks dispatch on
+    # ``type(t) is ...``; each name costs one ``env.get``, which both
+    # renames it and tells whether it is free.
+
     def prefix(self, pre: Prefix, env: dict[Name, Name]) -> tuple[Prefix, dict[Name, Name]]:
-        match pre:
-            case Send(subject=s, objects=objs):
-                return Send(env.get(s, s), tuple(env.get(o, o) for o in objs)), env
-            case Receive(subject=s, binders=bs):
-                env2 = dict(env)
-                fresh = []
-                for b in bs:
-                    env2[b] = nb = self.fresh(VAR)
-                    fresh.append(nb)
-                return Receive(env.get(s, s), tuple(fresh)), env2
-            case Match(lhs=a, rhs=b, inner=inner):
-                inner2, env2 = self.prefix(inner, env)
-                return Match(env.get(a, a), env.get(b, b), inner2), env2
+        free = self.free
+        kind = type(pre)
+        if kind is Match:
+            inner, env2 = self.prefix(pre.inner, env)
+            a, b = pre.lhs, pre.rhs
+            a2 = env.get(a)
+            if a2 is None:
+                free.add(a)
+                a2 = a
+            b2 = env.get(b)
+            if b2 is None:
+                free.add(b)
+                b2 = b
+            return Match(a2, b2, inner), env2
+        s = pre.subject
+        s2 = env.get(s)
+        if s2 is None:
+            free.add(s)
+            s2 = s
+        if kind is Send:
+            objs = []
+            for o in pre.objects:
+                o2 = env.get(o)
+                if o2 is None:
+                    free.add(o)
+                    o2 = o
+                objs.append(o2)
+            return Send(s2, tuple(objs)), env
+        if kind is Receive:
+            env2 = dict(env)
+            fresh = []
+            for b in pre.binders:
+                env2[b] = nb = self.fresh(VAR)
+                fresh.append(nb)
+            return Receive(s2, tuple(fresh)), env2
         raise TypeError(pre)
 
     def walk(self, t: Process, env: dict[Name, Name]) -> Process:
-        match t:
-            case Nil():
-                return t
-            case Prefixed(prefix=pre, continuation=cont):
-                pre2, env2 = self.prefix(pre, env)
-                return Prefixed(pre2, self.walk(cont, env2))
-            case Par(left=l, right=r):
-                return Par(self.walk(l, env), self.walk(r, env))
-            case Restrict(channels=ks, body=body):
-                env2 = dict(env)
-                fresh = []
-                for k in ks:
-                    env2[k] = nk = self.fresh(CHAN)
-                    fresh.append(nk)
-                out = self.walk(body, env2)
-                for nk in reversed(fresh):
-                    out = Restrict((nk,), out)
-                return out
-            case Repl(body=body):
-                return Repl(self.walk(body, env))
+        kind = type(t)
+        if kind is Prefixed:
+            pre, env2 = self.prefix(t.prefix, env)
+            return Prefixed(pre, self.walk(t.continuation, env2))
+        if kind is Par:
+            return Par(self.walk(t.left, env), self.walk(t.right, env))
+        if kind is Restrict:
+            env2 = dict(env)
+            fresh = []
+            for k in t.channels:
+                env2[k] = nk = self.fresh(CHAN)
+                fresh.append(nk)
+            out = self.walk(t.body, env2)
+            for nk in reversed(fresh):
+                out = Restrict((nk,), out)
+            return out
+        if kind is Repl:
+            return Repl(self.walk(t.body, env))
+        if kind is Nil:
+            return t
         raise TypeError(t)
 
 
@@ -688,8 +738,7 @@ def validate_cpi(p: Process) -> ValidationReport:
         numbering = _Canonicalizer(frozenset())
         v = _Validator(numbering.fresh)
         v.walk(p, None)
-        used = next(numbering.counter)
-        if any(i[1:].isdecimal() and int(i[1:]) < used for i in v.reserved):
+        if _may_collide(v.reserved, next(numbering.counter)):
             v = _Validator(_Canonicalizer(free_names(p)).fresh)
             v.walk(p, None)
     sort_viols = [

@@ -10,12 +10,12 @@ from cpi.encoding import encode_with_handlers
 from cpi.gen import random_cpi_process, random_pi_process
 from cpi.lts import (
     BoundOutAct, Engine, InAct, NoSuchTransition, OutAct, TAU, TauAct,
-    run_trace, successors, tau_reachable,
+    _action_sort_key, run_trace, successors, tau_reachable,
 )
 from cpi.parser import PI, parse, render
 from cpi.syntax import (
-    NIL, Par, Prefixed, Receive, Repl, Restrict, SortError, canonicalize,
-    chan, free_names, par, var,
+    NIL, Par, Prefixed, Receive, Repl, Restrict, Send, SortError,
+    canonicalize, chan, free_names, par, var,
 )
 
 
@@ -326,3 +326,64 @@ def test_closed_state_has_one_transition_set():
         assert not any(isinstance(tr.action, InAct) for tr in every)
         assert engine.labels(p) == tuple(dict.fromkeys(tr.action for tr in every))
 
+
+
+# ---------------------------------------------------------------------------
+# The order of successors
+
+
+def crowded(rng):
+    """Senders and receivers crowding two channels, some senders sending
+    a restricted channel: many tau targets and bound outputs."""
+    pool = (chan("a"), chan("b"))
+    y = var("y")
+    parts = []
+    for _ in range(rng.randint(2, 5)):
+        k = rng.choice(pool)
+        roll = rng.random()
+        if roll < 0.4:
+            cont = random_pi_process(rng, rng.randint(1, 3),
+                                     free_variables=(y,), repl_weight=0)
+            parts.append(Prefixed(Receive(k, (y,)), cont))
+        else:
+            cont = random_pi_process(rng, rng.randint(1, 3), repl_weight=0)
+            if roll < 0.7:
+                l = chan("l")
+                parts.append(Restrict((l,), Prefixed(Send(k, (l,)), cont)))
+            else:
+                parts.append(Prefixed(Send(k, (rng.choice(pool),)), cont))
+    p = par(*parts)
+    return Restrict(pool[:1], p) if rng.random() < 0.3 else p
+
+
+def test_successors_sorted_by_action_then_rendered_target():
+    # successors sorts by (action key, rendered target); the engine sorts
+    # action by action and renders only within a group of several targets
+    rng = random.Random(1313)
+    states = translations()
+    for i in range(600):
+        if i % 4 == 0:
+            states.append(receivers_under_new(rng))
+        elif i % 4 == 1:
+            states.append(crowded(rng))
+        else:
+            gen = random_pi_process if i % 4 == 2 else random_cpi_process
+            states.append(gen(rng, rng.randint(2, 10), repl_weight=0.08))
+    seen = {"open": 0, "closed": 0, "bound": 0, "taus": 0, "tied": 0}
+    engine = Engine()
+    for i, p in enumerate(states):
+        extra = EXTRAS[i % len(EXTRAS)]
+        try:
+            every = engine.successors(p, extra)
+        except SortError:
+            continue
+        for got in (every, engine.successors(p, extra, include_inputs=False)):
+            want = sorted(got, key=lambda tr: (_action_sort_key(tr.action),
+                                               render(tr.target)))
+            assert list(got) == want, (render(p), extra)
+        actions = [tr.action for tr in every]
+        seen["closed" if not free_names(p) else "open"] += 1
+        seen["bound"] += any(isinstance(a, BoundOutAct) for a in actions)
+        seen["taus"] += actions.count(TAU) > 1
+        seen["tied"] += len(set(actions)) < len(actions)
+    assert min(seen.values()) >= 40, seen

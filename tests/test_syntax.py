@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 from naive_lts import naive_canon, naive_subst
-from rough_terms import RESERVED_RESTRICTED, RESTRICTED, rough_process
-from cpi import syntax
+from rough_terms import (
+    RESERVED_RECEIVED, RESERVED_RESTRICTED, RECEIVED, RESTRICTED,
+    rough_process,
+)
+from cpi import parser, syntax
 from cpi.encoding import SourceModeError, encode
 from cpi.gen import random_cpi_process, random_pi_process
 from cpi.parser import PI, parse, render
@@ -357,6 +360,112 @@ def test_validate_cpi_agrees_with_canonical_walk():
             n.ident[1:].isdecimal() for n in free_names(p))
     assert len(CORPUS_SCRIPTS) >= 15
     assert min(seen.values()) >= 40 and seen["encoded"] >= 300, seen
+
+
+# ---------------------------------------------------------------------------
+# canonicalize against its definition: free names first, then a renaming
+# that skips them
+
+
+def _reference_free(t, bound=frozenset()):
+    """The names free in ``t``, by a walk of its own."""
+    if isinstance(t, Prefixed):
+        pre, out = t.prefix, set()
+        while isinstance(pre, Match):
+            out |= {pre.lhs, pre.rhs}
+            pre = pre.inner
+        out.add(pre.subject)
+        if isinstance(pre, Send):
+            out.update(pre.objects)
+            inner = bound
+        else:
+            inner = bound | set(pre.binders)
+        return (out - bound) | _reference_free(t.continuation, inner)
+    if isinstance(t, Par):
+        return _reference_free(t.left, bound) | _reference_free(t.right, bound)
+    if isinstance(t, Restrict):
+        return _reference_free(t.body, bound | set(t.channels))
+    if isinstance(t, Repl):
+        return _reference_free(t.body, bound)
+    return set()
+
+
+def _binder_count(t):
+    """How many binder numbers a renaming of ``t`` gives out."""
+    if isinstance(t, Prefixed):
+        _, core = prefix_chain(t.prefix)
+        own = len(core.binders) if isinstance(core, Receive) else 0
+        return own + _binder_count(t.continuation)
+    if isinstance(t, Par):
+        return _binder_count(t.left) + _binder_count(t.right)
+    if isinstance(t, Restrict):
+        return len(t.channels) + _binder_count(t.body)
+    if isinstance(t, Repl):
+        return _binder_count(t.body)
+    return 0
+
+
+def _surface_tree(text):
+    """The parser's tree for ``text``, before parse canonicalizes it."""
+    return parser._Parser(parser._tokenize(text, False), (0, 0)).parse_process({})
+
+
+def _canonicalize_cases():
+    for f in CORPUS_SCRIPTS:
+        p = _surface_tree(f.read_text())
+        yield p
+        try:
+            yield encode(canonicalize(p))
+        except SourceModeError:
+            pass
+    # a free '#0' met only as a guard name, a send object or a receive's
+    # subject, under binders that the numbering would call #0
+    k, h0 = chan("k"), chan("#0")
+    yield Restrict((k,), Prefixed(Match(h0, a, Send(k, (a,))), NIL))
+    yield Restrict((k,), Prefixed(Send(k, (h0,)), NIL))
+    yield Restrict((k,), Prefixed(Receive(h0, (x,)), Prefixed(Send(k, (k,)), NIL)))
+    # free names that look like canonical binders ('#0', '#3', '#30' and
+    # the variable '#1'), shadowed by '#' binders or not
+    rng = random.Random(1212)
+    free = (chan("#0"), chan("#3"), chan("#30"), a, b)
+    for i in range(1200):
+        reserved = i % 4 // 2
+        yield rough_process(
+            rng, rng.randint(2, 16), channels=rng.sample(free, 2),
+            variables=(var("#1"),) if i % 2 else (),
+            restricted=(RESTRICTED, RESERVED_RESTRICTED)[reserved],
+            received=(RECEIVED, RESERVED_RECEIVED)[reserved])
+    for _ in range(200):
+        p = random_pi_process(rng, rng.randint(1, 20), repl_weight=0.1)
+        yield p
+        yield encode(p)
+
+
+def test_canonicalize_agrees_with_two_walks():
+    # one walk that notes the free names, and a second only on a '#k'
+    # collision, gives what the free-name walk and a renaming skipping
+    # the free identifiers give, and the same free names
+    seen = {"walked": 0, "second_walk": 0, "hash_free_one_walk": 0,
+            "shadowing": 0, "encoded": 0}
+    for p in _canonicalize_cases():
+        walked = not hasattr(p, "_canonical")
+        free = _reference_free(p)
+        want = _Canonicalizer(frozenset(free)).walk(p, {})
+        got = canonicalize(p)
+        assert got is want, render(p)
+        assert free_names(p) == free, render(p)
+        assert free_names(got) == free, render(p)
+        if not walked:
+            continue
+        numbers = [int(n.ident[1:]) for n in free
+                   if n.ident[0] == "#" and n.ident[1:].isdecimal()]
+        second = any(k < _binder_count(p) for k in numbers)
+        seen["walked"] += 1
+        seen["second_walk"] += second
+        seen["hash_free_one_walk"] += bool(numbers) and not second
+        seen["shadowing"] += _shadows(p)
+        seen["encoded"] += "#n_" in render(p)
+    assert seen["walked"] >= 1000 and min(seen.values()) >= 40, seen
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from .lts import (
 from .parser import render
 from .syntax import (
     CpiError, Match, Name, NIL, Par, Prefix, Prefixed, Process, Receive,
-    Restrict, Send, canonicalize, chan, free_names, substitute_free, var,
+    Restrict, Send, bound_names, canonicalize, chan, free_names,
+    substitute_free, var,
 )
 
 
@@ -207,8 +208,8 @@ def check_proposition1_instance(body: Process, m: Name, pi: Prefix,
     ``body`` may use the designated variable ``x``.
     """
     k, l, y = chan("k"), chan("l"), var("y")
-    pi_names = _prefix_all_names(pi)
-    used = free_names(body) | {m} | pi_names
+    guarded = Prefixed(pi, NIL)
+    used = free_names(body) | {m} | free_names(guarded) | bound_names(guarded)
     for reserved in (k, l, y, chan("y")):
         if reserved in used:
             raise ConstructionError(
@@ -223,17 +224,6 @@ def check_proposition1_instance(body: Process, m: Name, pi: Prefix,
         return Restrict((k,), Par(left_thread, right_thread))
 
     return check(side(True), side(False), depth)
-
-
-def _prefix_all_names(pre: Prefix) -> frozenset[Name]:
-    match pre:
-        case Send(subject=s, objects=objs):
-            return frozenset((s,) + objs)
-        case Receive(subject=s, binders=bs):
-            return frozenset((s,) + bs)
-        case Match(lhs=a, rhs=b, inner=inner):
-            return _prefix_all_names(inner) | {a, b}
-    raise TypeError(pre)
 
 
 # ---------------------------------------------------------------------------

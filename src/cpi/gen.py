@@ -25,10 +25,6 @@ class _Scope:
         self.variables = list(variables)
         self.counter = 0
 
-    def any_name(self, rng: random.Random) -> Name:
-        names = self.channels + self.variables
-        return rng.choice(names)
-
     def fresh_var(self) -> Name:
         self.counter += 1
         return var(f"x{self.counter}")

@@ -7,9 +7,10 @@ derivation, never structurally, so successor sets are always finite.
 
 An input is instantiated only on a subject in the environment, which
 holds the state's free channels: a receive on a restricted channel can
-never be seen from outside, so it is never instantiated.  A closed state
-has no input moves, and one transition set whether inputs are asked for
-or not.
+never be seen from outside, so it is never instantiated.  The empty
+environment is therefore the no-inputs mode: a state explored without
+inputs is explored in it, and a closed state has one transition set
+whether inputs are asked for or not.
 """
 
 from __future__ import annotations
@@ -189,8 +190,8 @@ class Engine:
     that query's states only, and no answer depends on what ran earlier
     in the process.  A completeness check is one query: its tau closure
     and all of its games share one engine.  Sharing changes no answer,
-    since every cache is keyed by the canonical state, the input
-    environment and the input flag.
+    since every cache is keyed by the canonical state and the input
+    environment.
 
     A client that needs only the labels of a state (the last round of a
     bounded game, the last level of a bounded search) asks
@@ -211,19 +212,20 @@ class Engine:
                    include_inputs: bool = True) -> tuple[Transition, ...]:
         """As the module-level :func:`successors`, cached per engine.
 
-        A closed state with no extra environment has no input moves, so
-        both settings of ``include_inputs`` share one cache entry and
-        return the same tuple.
+        ``include_inputs=False`` is the empty environment, whatever
+        ``environment`` holds, so a state asked for without inputs has
+        one cache entry and one tuple; a closed state with no extra
+        environment shares it with ``include_inputs=True``.
         """
         p = canonicalize(p)
-        env = (frozenset(n for n in free_names(p) if n.is_channel)
-               | frozenset(environment))
-        # With env empty no input move reaches the top (see _succ).
-        inputs = include_inputs and bool(env)
-        key = (p, env, inputs)
+        env = frozenset()
+        if include_inputs:
+            env = (frozenset(n for n in free_names(p) if n.is_channel)
+                   | frozenset(environment))
+        key = (p, env)
         hit = self._trans_cache.get(key)
         if hit is None:
-            hit = self._trans_cache[key] = self._transitions(p, env, inputs)
+            hit = self._trans_cache[key] = self._transitions(p, env)
         return hit
 
     def labels(self, p: Process,
@@ -235,11 +237,10 @@ class Engine:
                | frozenset(environment))
         # successors sorts by the action's key first, and the key is
         # one-to-one here: every name in an action is a channel.
-        return tuple(sorted({a for a, _, _ in self._succ(p, env, bool(env))},
+        return tuple(sorted({a for a, _, _ in self._succ(p, env)},
                             key=_action_sort_key))
 
-    def _transitions(self, p: Process, env: frozenset[Name],
-                     inputs: bool) -> tuple[Transition, ...]:
+    def _transitions(self, p: Process, env: frozenset[Name]) -> tuple[Transition, ...]:
         # Sorted by (_action_sort_key(action), render(target)), computed
         # group by group.  The key is one-to-one on actions (every name
         # in an action is a channel), so a group of one action is a run
@@ -247,7 +248,7 @@ class Engine:
         # occurrence order that the stable sort of the whole kept.  A
         # target is rendered only to break a tie within its group.
         groups: dict = {}
-        for a, t, rl in self._succ(p, env, inputs):
+        for a, t, rl in self._succ(p, env):
             group = groups.get(a)
             if group is None:
                 group = groups[a] = {}
@@ -296,8 +297,8 @@ class Engine:
         return out
 
 
-    def _succ(self, p: Process, env: frozenset[Name], inputs: bool) -> list:
-        key = (p, env, inputs)
+    def _succ(self, p: Process, env: frozenset[Name]) -> list:
+        key = (p, env)
         hit = self._succ_cache.get(key)
         if hit is not None:
             return hit
@@ -313,7 +314,7 @@ class Engine:
                         if core.subject.is_channel and all(o.is_channel for o in core.objects):
                             out.append((OutAct(core.subject, core.objects), cont,
                                         rules + ("out",)))
-                    elif inputs and core.subject in env and core.subject.is_channel:
+                    elif core.subject in env and core.subject.is_channel:
                         # Exact, not a heuristic.  A free-input move only
                         # travels upward: par-l/par-r, rep-act and res lift
                         # it with its subject unchanged, and no rule
@@ -327,8 +328,8 @@ class Engine:
                             out.append((InAct(core.subject, tup), target,
                                         rules + ("in",)))
             case Par(left=l, right=r):
-                ls = self._succ(l, env, inputs)
-                rs = self._succ(r, env, inputs)
+                ls = self._succ(l, env)
+                rs = self._succ(r, env)
                 # free_names is memoised per node and read only by a
                 # bound output, so a state without one never computes it.
                 for a, t, rl in ls:
@@ -365,7 +366,7 @@ class Engine:
                 else:
                     inner_p = body
                 k = ks[0]
-                for a, t, rl in self._succ(inner_p, env, inputs):
+                for a, t, rl in self._succ(inner_p, env):
                     if isinstance(a, OutAct) and k in a.objects and a.subject != k:
                         out.append((BoundOutAct(a.subject, a.objects, (k,)), t,
                                     rl + ("open",)))
@@ -379,7 +380,7 @@ class Engine:
                     elif k not in action_names(a):
                         out.append((a, Restrict((k,), t), rl + ("res",)))
             case Repl(body=body):
-                inner = self._succ(body, env, inputs)
+                inner = self._succ(body, env)
                 for a, t, rl in inner:
                     if isinstance(a, BoundOutAct):
                         a, t = _rename_bound_away(a, t, free_names(body))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 CHAN = "chan"
 VAR = "var"
@@ -186,8 +186,9 @@ class Receive(_Node):
         if node is None:
             if not binders:
                 raise ValueError("receive prefix needs at least one binder")
-            if any(not b.is_variable for b in binders):
-                raise ValueError("receive binders must be variables")
+            for b in binders:
+                if b.kind != VAR:
+                    raise ValueError("receive binders must be variables")
             if len(set(binders)) != len(binders):
                 raise ValueError("receive binders must be pairwise distinct")
             node = object.__new__(cls)
@@ -270,8 +271,9 @@ class Restrict(_Process):
         if node is None:
             if not channels:
                 raise ValueError("restriction needs at least one channel")
-            if any(not k.is_channel for k in channels):
-                raise ValueError("restriction binds channels only")
+            for k in channels:
+                if k.kind != CHAN:
+                    raise ValueError("restriction binds channels only")
             node = object.__new__(cls)
             _remember(node, "channels", channels)
             _remember(node, "body", body)
@@ -721,33 +723,32 @@ def validate_cpi(p: Process) -> ValidationReport:
 
     The report reads as if it were made on ``canonicalize(p)``: its paths
     and names are those of the canonical form, so shadowed binders cannot
-    produce spurious sort clashes.  The walk numbers binders as
-    :func:`canonicalize` does instead of building that copy, and keeps
-    the names of a term that :func:`canonicalize` returned.
+    produce spurious sort clashes.  One walk numbers the binders in the
+    order :func:`canonicalize` does instead of building that copy; a
+    number becomes a name only when a violation is reported.
     """
-    # canonicalize records None on the forms it returns.
-    if getattr(p, "_canonical", p) is None:
-        v = _Validator(None)
-        v.walk(p, None)
-    else:
-        # canonicalize numbers binders #0, #1, ... skipping the identifiers
-        # free in p.  A free identifier is almost never of that form, so
-        # number them skipping nothing, note the free '#' identifiers on
-        # the way, and walk again with free_names(p) only if one of them
-        # may be a number the walk used.
-        numbering = _Canonicalizer(frozenset())
-        v = _Validator(numbering.fresh)
-        v.walk(p, None)
-        if _may_collide(v.reserved, next(numbering.counter)):
-            v = _Validator(_Canonicalizer(free_names(p)).fresh)
-            v.walk(p, None)
-    sort_viols = [
-        Violation(min(map(_path_text, paths.values())),
-                  f"name {n.ident!r} used at arities {sorted(paths)}")
-        for n, paths in sorted(v.arities.items(), key=lambda kv: (kv[0].kind, kv[0].ident))
-        if len(paths) > 1
-    ]
-    return ValidationReport(tuple(v.kind_viols), tuple(sort_viols))
+    v = _Validator()
+    v.walk(p, None)
+    clashes = [(n, paths) for n, paths in v.arities.items() if len(paths) > 1]
+    if not v.kind_viols and not clashes:
+        return ValidationReport((), ())
+    # Binder k is named by the k-th name canonicalize's numbering gives
+    # out, which skips the free identifiers that start with '#'.
+    fresh = _Canonicalizer(v.reserved).fresh
+    idents = [fresh(VAR).ident for _ in range(v.used)]
+
+    def name(n: Union[Name, tuple]) -> Name:
+        return n if type(n) is Name else Name(n[0], idents[n[1]])
+
+    kind_viols = tuple(
+        Violation(_path_text(at), f"send object {name(o).ident!r} is a variable")
+        for at, o in v.kind_viols)
+    named = {name(n): paths for n, paths in clashes}
+    sort_viols = tuple(
+        Violation(min(map(_path_text, named[n].values())),
+                  f"name {n.ident!r} used at arities {sorted(named[n])}")
+        for n in sorted(named, key=lambda n: (n.kind, n.ident)))
+    return ValidationReport(kind_viols, sort_viols)
 
 
 def _path_text(path: Optional[tuple]) -> str:
@@ -760,79 +761,74 @@ def _path_text(path: Optional[tuple]) -> str:
 
 
 class _Validator:
-    """One pass of :func:`validate_cpi`: the kind violations found so far,
-    per subject the first path at which each arity is used, the
-    canonical name of each binder in scope, and the free identifiers
-    that start with ``#``.  Given no ``fresh`` binder names, the term is
-    canonical, its binders keep their names and nothing is noted."""
+    """One walk of :func:`validate_cpi`.  A binder in scope maps in
+    ``env`` to its ``(kind, number)``, numbered from 0 in the order
+    :func:`canonicalize` renames binders; a free name stands for itself.
+    The walk keeps, per subject, the first path at which each arity is
+    used, the kind violations found so far as path and object, and the
+    free names whose identifier starts with ``#``, which the canonical
+    numbering skips."""
 
-    __slots__ = ("kind_viols", "arities", "env", "fresh", "reserved")
+    __slots__ = ("kind_viols", "arities", "env", "used", "reserved")
 
-    def __init__(self, fresh: Optional[Callable[[str], Name]]) -> None:
-        self.kind_viols: list[Violation] = []
-        self.arities: dict[Name, dict[int, tuple]] = {}
-        self.env: dict[Name, Name] = {}
-        self.fresh = fresh
-        self.reserved: set[str] = set()
+    def __init__(self) -> None:
+        self.kind_viols: list[tuple[tuple, Union[Name, tuple]]] = []
+        self.arities: dict[Union[Name, tuple], dict[int, tuple]] = {}
+        self.env: dict[Name, tuple[str, int]] = {}
+        self.used = 0
+        self.reserved: set[Name] = set()
 
     def walk(self, t: Process, path: Optional[tuple]) -> None:
         """Check ``t``, found at ``path``.  The walk follows continuations
-        and bodies in a loop; a binder it meets stays renamed in ``env``
+        and bodies in a loop; a binder it meets stays numbered in ``env``
         for the rest of the loop, which is its scope, and is restored
         when the walk returns."""
-        env, arities, fresh = self.env, self.arities, self.fresh
-        reserved = None if fresh is None else self.reserved
+        env, arities, reserved = self.env, self.arities, self.reserved
         shadowed = []
         while True:
-            match t:
-                case Prefixed(prefix=pre, continuation=cont):
-                    at = (path, "/prefix")
-                    while isinstance(pre, Match):
-                        if reserved is not None:
-                            for n in (pre.lhs, pre.rhs):
-                                if n.ident[0] == "#" and n not in env:
-                                    reserved.add(n.ident)
-                        pre, at = pre.inner, (at, "/match")
-                    s = pre.subject
-                    if s in env:
-                        s = env[s]
-                    elif reserved is not None and s.ident[0] == "#":
-                        reserved.add(s.ident)
-                    if isinstance(pre, Send):
-                        objs = pre.objects
-                        arities.setdefault(s, {}).setdefault(len(objs), at)
-                        if reserved is not None:
-                            for o in objs:
-                                if o.ident[0] == "#" and o not in env:
-                                    reserved.add(o.ident)
-                        for o in objs:
-                            if not o.is_channel:
-                                self.kind_viols.append(Violation(
-                                    _path_text(at), "send object "
-                                    f"{env.get(o, o).ident!r} is a variable"))
-                    else:
-                        bs = pre.binders
-                        arities.setdefault(s, {}).setdefault(len(bs), at)
-                        if fresh is not None:
-                            for b in bs:
-                                shadowed.append((b, env.get(b)))
-                                env[b] = fresh(VAR)
-                    t, path = cont, (path, "/cont")
-                case Par(left=l, right=r):
-                    self.walk(l, (path, "/par.left"))
-                    t, path = r, (path, "/par.right")
-                case Restrict(channels=ks, body=body):
-                    # The canonical form nests one restriction per channel.
-                    for k in ks:
-                        if fresh is not None:
-                            shadowed.append((k, env.get(k)))
-                            env[k] = fresh(CHAN)
-                        path = (path, "/new")
-                    t = body
-                case Repl(body=body):
-                    t, path = body, (path, "/repl")
-                case _:
-                    break
+            kind = type(t)
+            if kind is Prefixed:
+                pre, at = t.prefix, (path, "/prefix")
+                while type(pre) is Match:
+                    for n in (pre.lhs, pre.rhs):
+                        if n.ident[0] == "#" and n not in env:
+                            reserved.add(n)
+                    pre, at = pre.inner, (at, "/match")
+                s = pre.subject
+                subject = env.get(s, s)
+                if subject is s and s.ident[0] == "#":
+                    reserved.add(s)
+                if type(pre) is Send:
+                    objs = pre.objects
+                    arities.setdefault(subject, {}).setdefault(len(objs), at)
+                    for o in objs:
+                        if o.ident[0] == "#" and o not in env:
+                            reserved.add(o)
+                        if not o.is_channel:
+                            self.kind_viols.append((at, env.get(o, o)))
+                else:
+                    bs = pre.binders
+                    arities.setdefault(subject, {}).setdefault(len(bs), at)
+                    for b in bs:
+                        shadowed.append((b, env.get(b)))
+                        env[b] = (VAR, self.used)
+                        self.used += 1
+                t, path = t.continuation, (path, "/cont")
+            elif kind is Par:
+                self.walk(t.left, (path, "/par.left"))
+                t, path = t.right, (path, "/par.right")
+            elif kind is Restrict:
+                # The canonical form nests one restriction per channel.
+                for k in t.channels:
+                    shadowed.append((k, env.get(k)))
+                    env[k] = (CHAN, self.used)
+                    self.used += 1
+                    path = (path, "/new")
+                t = t.body
+            elif kind is Repl:
+                t, path = t.body, (path, "/repl")
+            else:
+                break
         for b, outer in reversed(shadowed):
             if outer is None:
                 del env[b]

@@ -163,3 +163,23 @@ def test_step_output_is_pinned(capsys):
                          "--json", *extra])
             digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert digest.hexdigest() == STEP_SHA256
+
+
+# The sha256 of the exit codes, JSON outputs and error messages of
+# ``cpi parse`` in both modes and of ``cpi encode`` with and without
+# --with-handlers on every corpus script: the validation reports, with
+# their paths and canonical names, and the violation messages.
+PARSE_ENCODE_SHA256 = (
+    "25fca62f7201a5fc78798240f7fc478779a91ae590acd822b5054086dc231b9c")
+
+
+def test_parse_and_encode_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for case in load_corpus(CORPUS):
+        for args in (["parse", "--mode", "pi"], ["parse", "--mode", "cpi"],
+                     ["encode", "--mode", case.mode],
+                     ["encode", "--mode", case.mode, "--with-handlers"]):
+            code = main([*args, str(case.path), "--json"])
+            out = capsys.readouterr()
+            digest.update(f"{code}\n{out.out}\n{out.err}".encode())
+    assert digest.hexdigest() == PARSE_ENCODE_SHA256

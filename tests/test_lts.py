@@ -327,6 +327,29 @@ def test_closed_state_has_one_transition_set():
         assert engine.labels(p) == tuple(dict.fromkeys(tr.action for tr in every))
 
 
+def test_no_inputs_is_the_empty_environment():
+    # without inputs the environment is empty, whatever the caller
+    # passed: an open state has one cache entry and one tuple for every
+    # extra environment, equal to what a fresh engine gives
+    rng = random.Random(919)
+    opened = [s for s in translations() if free_names(s)]
+    while len(opened) < 40:
+        p = receivers_under_new(rng)
+        if free_names(p):
+            opened.append(p)
+    engine = Engine()
+    with_inputs = 0
+    for p in opened:
+        bare = engine.successors(p, include_inputs=False)
+        assert not any(isinstance(tr.action, InAct) for tr in bare)
+        for extra in EXTRAS[1:]:
+            got = engine.successors(p, extra, include_inputs=False)
+            assert got is bare, render(p)
+            assert Engine().successors(p, extra, include_inputs=False) == bare
+            with_inputs += any(isinstance(tr.action, InAct)
+                               for tr in engine.successors(p, extra))
+    assert with_inputs >= 100
+
 
 # ---------------------------------------------------------------------------
 # The order of successors

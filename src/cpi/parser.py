@@ -14,17 +14,25 @@ extend as far right as possible; a prefix dot binds tighter than ``|``.
 Name sorts are resolved from binding positions: receive binders are
 variables, restricted names are channels, and free identifiers default to
 channels.
+
+The text layer is linear and does not recurse along chains.  The
+tokenizer scans the text once with one pattern and keeps each token's
+offset; an offset becomes a line and column only when a
+:class:`CpiSyntaxError` is raised.  The parser reads a run of prefixes in
+a loop and ``|`` chains in a loop.  :func:`render` walks with an explicit
+stack and keeps a text on the node asked for, on each prefix and on each
+``|`` component, never on the links of a chain, so what it keeps is
+linear in the size of a chain.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .syntax import (
-    CHAN, VAR, CpiError, CpiViolation, Match, Name, NIL, Nil, Par, Prefix,
-    Prefixed, Process, Receive, Repl, Restrict, Send, SortError,
-    canonicalize, chan, prefix_chain, validate_cpi,
+    CHAN, VAR, CpiError, CpiViolation, Name, NIL, Nil, Par, Prefix, Prefixed,
+    Process, Receive, Repl, Restrict, Send, SortError, _remember,
+    canonicalize, prefix_chain, validate_cpi, wrap_matches,
 )
 
 CPI = "cpi"
@@ -39,79 +47,76 @@ class CpiSyntaxError(CpiError):
         super().__init__(f"{line}:{col}: expected {expected}")
 
 
+# One pattern for the whole text: whitespace and comments match as
+# nothing, a token matches as group 1, and any other character matches as
+# group 2, which is an error.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>--[^\n]*)
-  | (?P<ident>\#?[a-zA-Z][a-zA-Z0-9_]*|\#[0-9]+)
-  | (?P<punct>[0!<>?()\[\]=,.|])
-""", re.VERBOSE)
-
-_IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*$")
+    [ \t\r\n]+ | --[^\n]*
+  | (\#?[a-zA-Z][a-zA-Z0-9_]*|\#[0-9]+|[0!<>?()\[\]=,.|])
+  | (.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
+def _syntax_error(text: str, pos: int, expected: str) -> CpiSyntaxError:
+    """The error at offset ``pos`` of ``text``, with its line and column."""
+    line = text.count("\n", 0, pos) + 1
+    return CpiSyntaxError(line, pos - text.rfind("\n", 0, pos), expected)
 
 
-def _tokenize(text: str, allow_reserved: bool) -> list[_Tok]:
-    toks = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise CpiSyntaxError(line, col, "a token")
-        lexeme = m.group(0)
-        kind = m.lastgroup
-        if kind == "ident" and lexeme.startswith("#") and not allow_reserved:
-            raise CpiSyntaxError(line, col, "a surface identifier (reserved '#' names rejected)")
-        if kind not in ("ws", "comment"):
-            toks.append(_Tok(lexeme, line, col))
-        for ch in lexeme:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        pos = m.end()
-    return toks
+def _tokenize(text: str, allow_reserved: bool) -> tuple[list, list[int]]:
+    """The tokens of ``text`` and their offsets, in one scan.
+
+    Both lists end in a sentinel: the token ``None`` at the offset
+    ``len(text)``.  An offset becomes a line and column only when an
+    error is raised."""
+    toks: list = []
+    offsets: list[int] = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastindex
+        if kind is None:
+            continue
+        if kind == 2:
+            raise _syntax_error(text, m.start(), "a token")
+        tok = m.group(1)
+        if tok[0] == "#" and not allow_reserved:
+            raise _syntax_error(
+                text, m.start(),
+                "a surface identifier (reserved '#' names rejected)")
+        toks.append(tok)
+        offsets.append(m.start())
+    toks.append(None)
+    offsets.append(len(text))
+    return toks, offsets
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], text_len_line: tuple[int, int]):
+    def __init__(self, text: str, toks: list, offsets: list[int]):
+        self.text = text
         self.toks = toks
+        self.offsets = offsets
         self.i = 0
-        self.eof_pos = text_len_line
 
     def peek(self) -> str | None:
-        return self.toks[self.i].text if self.i < len(self.toks) else None
-
-    def _pos(self) -> tuple[int, int]:
-        if self.i < len(self.toks):
-            t = self.toks[self.i]
-            return t.line, t.col
-        return self.eof_pos
+        return self.toks[self.i]
 
     def fail(self, expected: str):
-        line, col = self._pos()
-        raise CpiSyntaxError(line, col, expected)
+        raise _syntax_error(self.text, self.offsets[self.i], expected)
 
     def take(self, expected: str | None = None) -> str:
-        if self.i >= len(self.toks):
-            self.fail(expected or "more input")
         tok = self.toks[self.i]
-        if expected is not None and tok.text != expected:
+        if tok is None:
+            self.fail(expected or "more input")
+        if expected is not None and tok != expected:
             self.fail(f"'{expected}'")
         self.i += 1
-        return tok.text
+        return tok
 
     def take_ident(self) -> str:
-        t = self.peek()
+        t = self.toks[self.i]
         if t is None or t in ("new", "in") or not (t[0].isalpha() or t[0] == "#"):
             self.fail("an identifier")
-        return self.take()
+        self.i += 1
+        return t
 
     # -- grammar -----------------------------------------------------------
 
@@ -124,22 +129,29 @@ class _Parser:
         return left
 
     def parse_term(self, env: dict[str, Name]) -> Process:
-        t = self.peek()
-        if t is None:
+        """A run of prefixes, parsed in a loop, and the term they guard."""
+        prefixes = []
+        while True:
+            t = self.peek()
+            if t is None:
+                self.fail("a process")
+            # 'in' is taken for a subject, to fail as an identifier
+            if not (t == "[" or t != "new" and (t[0].isalpha() or t[0] == "#")):
+                break
+            prefix, env = self.parse_prefix(env)
+            self.take(".")
+            prefixes.append(prefix)
+        if t not in ("0", "(", "!", "new"):
             self.fail("a process")
+        self.i += 1
         if t == "0":
-            self.take()
-            return NIL
-        if t == "(":
-            self.take()
+            p = NIL
+        elif t == "(":
             p = self.parse_process(env)
             self.take(")")
-            return p
-        if t == "!":
-            self.take()
-            return Repl(self.parse_process(env))
-        if t == "new":
-            self.take()
+        elif t == "!":
+            p = Repl(self.parse_process(env))
+        else:
             idents = [self.take_ident()]
             while self.peek() == ",":
                 self.take(",")
@@ -151,22 +163,20 @@ class _Parser:
                 n = Name(CHAN, ident)
                 env2[ident] = n
                 channels.append(n)
-            return Restrict(tuple(channels), self.parse_process(env2))
-        if t == "[" or t[0].isalpha() or t[0] == "#":
-            prefix, env2 = self.parse_prefix(env)
-            self.take(".")
-            return Prefixed(prefix, self.parse_term(env2))
-        self.fail("a process")
+            p = Restrict(tuple(channels), self.parse_process(env2))
+        for prefix in reversed(prefixes):
+            p = Prefixed(prefix, p)
+        return p
 
     def parse_prefix(self, env: dict[str, Name]) -> tuple[Prefix, dict[str, Name]]:
-        if self.peek() == "[":
+        guards = []
+        while self.peek() == "[":
             self.take()
             a = self._resolve(self.take_ident(), env)
             self.take("=")
             b = self._resolve(self.take_ident(), env)
             self.take("]")
-            inner, env2 = self.parse_prefix(env)
-            return Match(a, b, inner), env2
+            guards.append((a, b))
         subject = self._resolve(self.take_ident(), env)
         t = self.peek()
         if t == "!":
@@ -177,7 +187,7 @@ class _Parser:
                 self.take(",")
                 objs.append(self._resolve(self.take_ident(), env))
             self.take(">")
-            return Send(subject, tuple(objs)), env
+            return wrap_matches(guards, Send(subject, tuple(objs))), env
         if t == "?":
             self.take()
             self.take("(")
@@ -194,7 +204,7 @@ class _Parser:
                 binders.append(n)
             if len(set(binders)) != len(binders):
                 self.fail("pairwise distinct receive binders")
-            return Receive(subject, tuple(binders)), env2
+            return wrap_matches(guards, Receive(subject, tuple(binders))), env2
         self.fail("'!' or '?'")
 
     @staticmethod
@@ -212,9 +222,7 @@ def parse(text: str, mode: str = CPI, allow_reserved: bool = False) -> Process:
     """
     if mode not in (CPI, PI):
         raise ValueError(f"unknown parse mode {mode!r}")
-    lines = text.split("\n")
-    eof_pos = (len(lines), len(lines[-1]) + 1)
-    parser = _Parser(_tokenize(text, allow_reserved), eof_pos)
+    parser = _Parser(text, *_tokenize(text, allow_reserved))
     p = parser.parse_process({})
     if parser.peek() is not None:
         parser.fail("end of input")
@@ -235,58 +243,110 @@ def parse(text: str, mode: str = CPI, allow_reserved: bool = False) -> Process:
 
 def _extends_right(p: Process) -> bool:
     """True if the printed form of ``p`` would swallow a following '| Q'."""
-    match p:
-        case Restrict() | Repl():
-            return True
-        case Prefixed(continuation=cont):
-            return _extends_right(cont)
-        case Par(right=r):
-            return _extends_right(r)
-        case _:
-            return False
+    while True:
+        kind = type(p)
+        if kind is Prefixed:
+            p = p.continuation
+        elif kind is Par:
+            p = p.right
+        else:
+            return kind is Restrict or kind is Repl
 
 
 def _render_prefix(pre: Prefix) -> str:
+    """The text of ``pre``, kept on the prefix node."""
+    try:
+        return pre._text
+    except AttributeError:
+        pass
     guards, core = prefix_chain(pre)
-    out = "".join(f"[{a.ident}={b.ident}]" for a, b in guards)
-    if isinstance(core, Send):
-        return out + f"{core.subject.ident}!<{','.join(o.ident for o in core.objects)}>"
-    return out + f"{core.subject.ident}?({','.join(b.ident for b in core.binders)})"
+    text = "".join(f"[{a.ident}={b.ident}]" for a, b in guards)
+    if type(core) is Send:
+        text += f"{core.subject.ident}!<{','.join(o.ident for o in core.objects)}>"
+    else:
+        text += f"{core.subject.ident}?({','.join(b.ident for b in core.binders)})"
+    _remember(pre, "_text", text)
+    return text
 
 
 def render(p: Process) -> str:
     """Minimal-parentheses text for ``p``; reparsing (in ``pi`` mode, with
-    reserved names allowed) yields an alpha-equivalent process."""
+    reserved names allowed) yields an alpha-equivalent process.
+
+    One walk with an explicit stack appends the parts of the text and
+    joins them once, so the depth of ``p`` is no limit.  Terms are
+    immutable, so a text is kept on its node: on ``p``, on each prefix,
+    and on each ``|`` component that is not itself a ``|``.  Nothing is
+    kept on the links of a prefix chain or on the body of ``new`` or
+    ``!``.  So each character of the text is kept once for ``p`` and once
+    more for each ``|`` component it lies in, however long the chains.  A
+    text already kept is used wherever its node is met."""
     try:
         return p._text
     except AttributeError:
         pass
-    match p:
-        case Nil():
-            text = "0"
-        case Prefixed(prefix=pre, continuation=cont):
-            body = render(cont)
-            if isinstance(cont, Par):
-                body = f"({body})"
-            text = f"{_render_prefix(pre)}.{body}"
-        case Par(left=l, right=r):
-            ls = render(l)
-            if _extends_right(l):
-                ls = f"({ls})"
-            rs = render(r)
-            if isinstance(r, Par):
-                rs = f"({rs})"
-            text = f"{ls} | {rs}"
-        case Restrict(channels=ks, body=body):
-            names = [k.ident for k in ks]
-            while isinstance(body, Restrict):
-                names.extend(k.ident for k in body.channels)
-                body = body.body
-            text = f"new {','.join(names)} in {render(body)}"
-        case Repl(body=body):
-            text = f"!{render(body)}"
-        case _:
-            raise TypeError(p)
-    # Processes are immutable, so the text is kept on the node.
-    object.__setattr__(p, "_text", text)
-    return text
+    parts: list[str] = []
+    # What is left to print, last first: a string, a process, or the
+    # (node, start) of a process to keep, whose text starts at parts[start].
+    todo: list = []
+    t, keep = p, True
+    while True:
+        try:
+            parts.append(t._text)
+        except AttributeError:
+            if keep:
+                todo.append((t, len(parts)))
+            kind = type(t)
+            if kind is Prefixed:
+                parts.append(_render_prefix(t.prefix))
+                t, keep = t.continuation, False
+                if type(t) is Par:
+                    parts.append(".(")
+                    todo.append(")")
+                else:
+                    parts.append(".")
+                continue
+            if kind is Par:
+                l, r = t.left, t.right
+                if type(r) is Par:
+                    todo += (")", r, " | (")
+                else:
+                    todo += (r, " | ")
+                if _extends_right(l):
+                    parts.append("(")
+                    todo.append(")")
+                t, keep = l, type(l) is not Par
+                continue
+            if kind is Restrict:
+                names = [k.ident for k in t.channels]
+                t = t.body
+                while type(t) is Restrict:
+                    names.extend(k.ident for k in t.channels)
+                    t = t.body
+                parts.append(f"new {','.join(names)} in ")
+                keep = False
+                continue
+            if kind is Repl:
+                parts.append("!")
+                t, keep = t.body, False
+                continue
+            if kind is not Nil:
+                raise TypeError(t)
+            parts.append("0")
+        # ``t`` is printed: go on with what is left.
+        while todo:
+            item = todo.pop()
+            kind = type(item)
+            if kind is str:
+                parts.append(item)
+            elif kind is tuple:
+                node, start = item
+                text = "".join(parts[start:])
+                parts[start:] = (text,)
+                _remember(node, "_text", text)
+            else:
+                # a right component of '|', kept unless itself a '|'
+                t, keep = item, kind is not Par
+                break
+        else:
+            return parts[0]

@@ -161,8 +161,12 @@ def var(ident: str) -> Name:
 # Prefixes and processes
 
 
+# A prefix keeps its text in ``_text``, memoised by parser.render.
+
+
 class Send(_Node):
-    __slots__ = __match_args__ = ("subject", "objects")
+    __slots__ = ("subject", "objects", "_text")
+    __match_args__ = ("subject", "objects")
 
     def __new__(cls, subject: Name, objects: tuple[Name, ...]) -> "Send":
         key = (cls, subject, objects)
@@ -178,7 +182,8 @@ class Send(_Node):
 
 
 class Receive(_Node):
-    __slots__ = __match_args__ = ("subject", "binders")
+    __slots__ = ("subject", "binders", "_text")
+    __match_args__ = ("subject", "binders")
 
     def __new__(cls, subject: Name, binders: tuple[Name, ...]) -> "Receive":
         key = (cls, subject, binders)
@@ -199,7 +204,8 @@ class Receive(_Node):
 
 
 class Match(_Node):
-    __slots__ = __match_args__ = ("lhs", "rhs", "inner")
+    __slots__ = ("lhs", "rhs", "inner", "_text")
+    __match_args__ = ("lhs", "rhs", "inner")
 
     def __new__(cls, lhs: Name, rhs: Name, inner: "Prefix") -> "Match":
         key = (cls, lhs, rhs, inner)
@@ -368,22 +374,35 @@ def free_names(p: Process) -> frozenset[Name]:
 
 
 def bound_names(p: Process) -> frozenset[Name]:
-    match p:
-        case Nil():
-            return frozenset()
-        case Prefixed(prefix=pre, continuation=cont):
-            out = bound_names(cont)
-            guards, core = prefix_chain(pre)
-            if isinstance(core, Receive):
-                out = out | set(core.binders)
-            return out
-        case Par(left=l, right=r):
-            return bound_names(l) | bound_names(r)
-        case Restrict(channels=ks, body=body):
-            return bound_names(body) | set(ks)
-        case Repl(body=body):
-            return bound_names(body)
-    raise TypeError(p)
+    """Names bound somewhere in ``p``: receive binders and restricted
+    channels.  One walk collects them into one set, following
+    continuations and bodies in a loop."""
+    out: set[Name] = set()
+    todo = [p]
+    while todo:
+        t = todo.pop()
+        while True:
+            kind = type(t)
+            if kind is Prefixed:
+                core = t.prefix
+                while type(core) is Match:
+                    core = core.inner
+                if type(core) is Receive:
+                    out.update(core.binders)
+                t = t.continuation
+            elif kind is Par:
+                todo.append(t.left)
+                t = t.right
+            elif kind is Restrict:
+                out.update(t.channels)
+                t = t.body
+            elif kind is Repl:
+                t = t.body
+            elif kind is Nil:
+                break
+            else:
+                raise TypeError(t)
+    return frozenset(out)
 
 
 def _prefix_fo(pre: Prefix) -> frozenset[Name]:

@@ -125,10 +125,10 @@ def test_main_callable_directly(capsys):
 
 
 @pytest.mark.parametrize("command, text", [
-    ("encode", "a!<b>." * 250 + "0\n"),
+    ("encode", "a!<b>." * 1000 + "0\n"),
     ("parse", "a!<b>." * 1000 + "0\n"),
     ("parse", " | ".join(["a!<b>.0"] * 1000) + "\n"),
-], ids=["encode-250-prefixes", "parse-1000-prefixes", "parse-1000-way-par"])
+], ids=["encode-1000-prefixes", "parse-1000-prefixes", "parse-1000-way-par"])
 def test_term_too_deep_exit_3(command, text):
     code, out, err = run_cli([command, "-"], text)
     assert code == EXIT_TOO_DEEP == 3 and out == ""
@@ -143,6 +143,15 @@ def test_encode_170_prefixes():
     payload = json.loads(out)
     assert code == 0 and payload["validation"]["ok"]
     assert payload["encoded"].count("#m_b!<") == 170
+
+
+def test_encode_250_prefixes():
+    # the translation nests over a thousand terms deep, and it is printed
+    # by a walk that does not recurse
+    code, out, _ = run_cli(["encode", "-", "--json"], "a!<b>." * 250 + "0\n")
+    payload = json.loads(out)
+    assert code == 0 and payload["validation"]["ok"]
+    assert payload["encoded"].count("#m_b!<") == 250
 
 
 # The sha256 of the exit codes and JSON outputs of ``cpi step`` on every

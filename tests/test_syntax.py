@@ -23,7 +23,7 @@ from cpi.syntax import (
     Match, NIL, Name, Par, Prefixed, Receive, Repl, Restrict, Send,
     SubstitutionDomainError, ValidationReport, Violation, _Canonicalizer,
     alpha_equivalent, bound_names, canonicalize, chan, fnn, free_names,
-    free_output_objects, prefix_chain, substitute, validate_cpi, var,
+    free_output_objects, par, prefix_chain, substitute, validate_cpi, var,
 )
 
 CORPUS_SCRIPTS = sorted(
@@ -78,6 +78,32 @@ def test_free_names_match_guard():
 def test_bound_names():
     p = Prefixed(Receive(a, (x,)), Restrict((b,), NIL))
     assert bound_names(p) == {x, b}
+
+
+def _reference_bound_names(p):
+    match p:
+        case Prefixed(prefix=pre, continuation=cont):
+            _, core = prefix_chain(pre)
+            out = _reference_bound_names(cont)
+            return out | set(core.binders) if isinstance(core, Receive) else out
+        case Par(left=l, right=r):
+            return _reference_bound_names(l) | _reference_bound_names(r)
+        case Restrict(channels=ks, body=body):
+            return _reference_bound_names(body) | set(ks)
+        case Repl(body=body):
+            return _reference_bound_names(body)
+    return frozenset()
+
+
+def test_bound_names_agrees_with_recursive_walk():
+    for p in _canonicalize_cases():
+        assert bound_names(p) == _reference_bound_names(p), render(p)
+    # a chain and a '|' too deep for the recursive walk
+    chain = NIL
+    for i in range(5000):
+        chain = Prefixed(Match(a, b, Receive(c, (var(f"x{i}"),))), chain)
+    assert bound_names(Restrict((a,), chain)) == {a} | {var(f"x{i}") for i in range(5000)}
+    assert bound_names(par(*[Restrict((b,), NIL)] * 5000)) == {b}
 
 
 def test_free_output_objects():
@@ -407,7 +433,7 @@ def _binder_count(t):
 
 def _surface_tree(text):
     """The parser's tree for ``text``, before parse canonicalizes it."""
-    return parser._Parser(parser._tokenize(text, False), (0, 0)).parse_process({})
+    return parser._Parser(text, *parser._tokenize(text, False)).parse_process({})
 
 
 def _canonicalize_cases():

@@ -15,15 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .lts import (
-    Action, BoundOutAct, Engine, _fresh_channels, action_to_json,
-    render_action,
-)
+from .lts import Action, BoundOutAct, Engine, action_to_json, render_action
 from .parser import render
 from .syntax import (
-    CpiError, Match, Name, NIL, Par, Prefix, Prefixed, Process, Receive,
-    Restrict, Send, bound_names, canonicalize, chan, free_names,
-    substitute_free, var,
+    CHAN, CpiError, Match, Name, NIL, Par, Prefix, Prefixed, Process,
+    Receive, Restrict, Send, bound_names, canonicalize, chan, free_names,
+    fresh_names, substitute_free, var,
 )
 
 
@@ -65,7 +62,7 @@ def _normal_label(a: Action,
     (None when ``a`` binds nothing)."""
     if not isinstance(a, BoundOutAct):
         return a, None
-    fresh = _fresh_channels(avoid_idents, len(a.bound), tag="b")
+    fresh = fresh_names(CHAN, "b", avoid_idents, len(a.bound))
     m = dict(zip(a.bound, fresh))
     return BoundOutAct(a.subject, tuple(m.get(o, o) for o in a.objects),
                        tuple(fresh)), m

@@ -2,7 +2,7 @@
 
 Subcommands: ``parse``, ``step``, ``bisim``, ``nonforward``, ``encode``.
 Exit codes: 0 success, 1 syntax error, 2 confidential-fragment violation,
-3 term too deep for the recursive walks.
+3 a ``bisim`` game deeper than Python's recursion limit.
 Output does not depend on what ran earlier in the process, so no
 setting is needed to reproduce it; ``CPI_FRESH_START``, which once pinned
 a fresh-name counter, is accepted and ignored.
@@ -222,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SYNTAX
     except RecursionError:
-        print("error: term too deep: its nesting exceeds Python's recursion "
+        print("error: game too deep: its depth exceeds Python's recursion "
               f"limit ({sys.getrecursionlimit()})", file=sys.stderr)
         return EXIT_TOO_DEEP
 

@@ -20,9 +20,10 @@ from .bisim import Verdict, check
 from .lts import Engine, TauAct, successors, tau_levels
 from .parser import render
 from .syntax import (
-    CpiError, Name, NIL, Nil, Par, Prefixed, Process, Receive, Repl,
-    ReservedNameError, Restrict, Send, bound_names, canonicalize, chan, fnn,
-    free_names, par, prefix_chain, var, wrap_matches,
+    _NEW, _PAR_R, _REPL, _RIGHT, CpiError, Name, NIL, Nil, Par, Prefixed,
+    Process, Receive, Repl, ReservedNameError, Restrict, Send, _fill, _idents,
+    bound_names, canonicalize, chan, fnn, free_names, par, prefix_chain, var,
+    wrap_matches,
 )
 
 
@@ -87,100 +88,72 @@ def encode(p: Process, fresh_start: int = 0) -> Process:
         if n.is_reserved:
             raise SourceModeError(
                 f"free reserved name {n.ident!r} in translation source")
-    return _Encoder(p, fresh_start).enc(p)
+    taken = {n.ident for n in free_names(p) | bound_names(p)}
+    surface = _idents("src", taken, itertools.count())
+    fr = itertools.count(fresh_start)
+    # The surface name of each reserved binder in scope, with the outer
+    # entries saved on the trail (see the traversal discipline in syntax).
+    env: dict[Name, Name] = {}
+    trail: list = []
 
+    def bind(b: Name) -> Name:
+        if b.is_reserved:
+            trail.append((b, env.get(b)))
+            env[b] = b = Name(b.kind, next(surface))
+        return b
 
-class _Encoder:
-    """One translation: the surface name of each reserved binder in
-    scope, the source's identifiers that those names skip, and the
-    counters of both kinds of new name."""
-
-    __slots__ = ("env", "taken", "renamed", "fr")
-
-    def __init__(self, source: Process, fresh_start: int) -> None:
-        self.env: dict[Name, Name] = {}
-        self.taken = {n.ident for n in free_names(source) | bound_names(source)}
-        self.renamed = itertools.count()
-        self.fr = itertools.count(fresh_start)
-
-    def bind(self, b: Name, shadowed: list) -> Name:
-        """The surface name of binder ``b``; a reserved one is renamed in
-        ``env`` and its outer entry saved on ``shadowed``."""
-        if not b.is_reserved:
-            return b
-        while True:
-            ident = f"src{next(self.renamed)}"
-            if ident not in self.taken:
-                break
-        shadowed.append((b, self.env.get(b)))
-        self.env[b] = nb = Name(b.kind, ident)
-        return nb
-
-    def restore(self, shadowed: list) -> None:
-        env = self.env
-        for b, outer in reversed(shadowed):
-            if outer is None:
-                del env[b]
+    todo: list = []
+    t = p
+    while True:
+        kind = type(t)
+        if kind is Prefixed:
+            guards, core = prefix_chain(t.prefix)
+            guards = [(env.get(a, a), env.get(b, b)) for a, b in guards]
+            subject = env.get(core.subject, core.subject)
+            if type(core) is Send:
+                if len(core.objects) != 1:
+                    raise SourceModeError(
+                        f"polyadic send on {subject.ident!r}")
+                obj = core.objects[0]
+                ta = renaming_policy(subject)
+                tb = renaming_policy(env.get(obj, obj))
+                e1 = chan(f"#e{next(fr)}")
+                e2 = chan(f"#e{next(fr)}")
+                y = var(f"#y{next(fr)}")
+                todo += ((_NEW, (e1, e2)),
+                         wrap_matches(guards, Send(ta.n_name, (e1,))),
+                         Send(tb.m_name, (e1, e2)), Receive(e2, (y,)),
+                         Send(y, (e1,)))
             else:
-                env[b] = outer
-
-    def enc(self, t: Process) -> Process:
-        match t:
-            case Nil():
-                return t
-            case Par(left=l, right=r):
-                return Par(self.enc(l), self.enc(r))
-            case Repl(body=body):
-                return Repl(self.enc(body))
-            case Restrict(channels=ks, body=body):
-                shadowed = []
-                ks = [self.bind(k, shadowed) for k in ks]
-                out = self.enc(body)
-                self.restore(shadowed)
-                for k in reversed(ks):
-                    tr = renaming_policy(k)
-                    out = Restrict((k, tr.n_name, tr.m_name),
-                                   Par(out, handler(k)))
-                return out
-            case Prefixed(prefix=pre, continuation=cont):
-                env = self.env
-                guards, core = prefix_chain(pre)
-                guards = [(env.get(a, a), env.get(b, b)) for a, b in guards]
-                subject = env.get(core.subject, core.subject)
-                fr = self.fr
-                if isinstance(core, Send):
-                    if len(core.objects) != 1:
-                        raise SourceModeError(
-                            f"polyadic send on {subject.ident!r}")
-                    obj = core.objects[0]
-                    ta = renaming_policy(subject)
-                    tb = renaming_policy(env.get(obj, obj))
-                    e1 = chan(f"#e{next(fr)}")
-                    e2 = chan(f"#e{next(fr)}")
-                    y = var(f"#y{next(fr)}")
-                    chain = Prefixed(
-                        wrap_matches(guards, Send(ta.n_name, (e1,))),
-                        Prefixed(Send(tb.m_name, (e1, e2)),
-                                 Prefixed(Receive(e2, (y,)),
-                                          Prefixed(Send(y, (e1,)),
-                                                   self.enc(cont)))))
-                    return Restrict((e1, e2), chain)
                 if len(core.binders) != 1:
                     raise SourceModeError(
                         f"polyadic receive on {subject.ident!r}")
-                shadowed = []
-                x = self.bind(core.binders[0], shadowed)
+                x = bind(core.binders[0])
                 tx = renaming_policy(x)
                 xc = var(f"#w{next(fr)}")
                 dummy = var(f"#y{next(fr)}")
-                body = self.enc(cont)
-                self.restore(shadowed)
-                return Prefixed(
-                    wrap_matches(guards,
-                                 Receive(subject,
-                                         (x, tx.n_name, tx.m_name, xc))),
-                    Prefixed(Receive(xc, (dummy,)), body))
-        raise TypeError(t)
+                todo += (wrap_matches(guards, Receive(
+                             subject, (x, tx.n_name, tx.m_name, xc))),
+                         Receive(xc, (dummy,)))
+            t = t.continuation
+        elif kind is Par:
+            todo.append((_RIGHT, t.right, len(trail)))
+            t = t.left
+        elif kind is Restrict:
+            for k in t.channels:
+                k = bind(k)
+                tr = renaming_policy(k)
+                todo += ((_NEW, (k, tr.n_name, tr.m_name)), (_PAR_R, handler(k)))
+            t = t.body
+        elif kind is Repl:
+            todo.append(_REPL)
+            t = t.body
+        elif kind is Nil:
+            t, out = _fill(todo, t, env, trail)
+            if t is None:
+                return out
+        else:
+            raise TypeError(t)
 
 
 def encode_with_handlers(p: Process, fresh_start: int = 0) -> Process:

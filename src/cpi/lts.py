@@ -21,8 +21,8 @@ from typing import Iterable, Optional, Union
 
 from .parser import render
 from .syntax import (
-    CpiError, Match, Name, Nil, Par, Prefixed, Process, Receive, Repl,
-    Restrict, Send, SortError, canonicalize, chan, free_names, prefix_chain,
+    CHAN, CpiError, Name, Par, Prefixed, Process, Receive, Repl, Restrict,
+    Send, SortError, canonicalize, free_names, fresh_names, prefix_chain,
     substitute, substitute_free,
 )
 
@@ -142,20 +142,9 @@ def _action_sort_key(a: Action):
 # Input instantiation
 
 
-def _fresh_channels(avoid: set[str], count: int, tag: str = "i") -> list[Name]:
-    out = []
-    j = 0
-    for _ in range(count):
-        while f"#{tag}{j}" in avoid:
-            j += 1
-        out.append(chan(f"#{tag}{j}"))
-        j += 1
-    return out
-
-
 def _input_candidates(env: frozenset[Name], arity: int) -> list[list[Name]]:
     base = sorted(env, key=lambda n: n.ident)
-    fresh = _fresh_channels({n.ident for n in env}, arity)
+    fresh = fresh_names(CHAN, "i", {n.ident for n in env}, arity)
     return [base + [fresh[i]] for i in range(arity)]
 
 
@@ -175,7 +164,7 @@ def _rename_bound_away(a: BoundOutAct, target: Process,
     avoid_idents = ({n.ident for n in avoid}
                     | {n.ident for n in action_names(a)}
                     | {n.ident for n in free_names(target)})
-    fresh = _fresh_channels(avoid_idents, len(clash), tag="o")
+    fresh = fresh_names(CHAN, "o", avoid_idents, len(clash))
     m = dict(zip(clash, fresh))
     objs = tuple(m.get(o, o) for o in a.objects)
     bound = tuple(m.get(b, b) for b in a.bound)
@@ -262,55 +251,79 @@ class Engine:
             trans.extend(Transition(p, a, t, group[t]) for t in targets)
         return tuple(trans)
 
+    # _succ and _input_on derive premises first.  On a cache miss they
+    # apply the rule in a loop on an explicit stack: a rule that finds a
+    # premise it reads missing from the cache pushes it, and the loop
+    # derives it first, leftmost first, each after its own premises.
+
     def _input_on(self, p: Process, subject: Name, objects: tuple[Name, ...]) -> list:
         """Derivations of the input action ``subject?<objects>`` from ``p``."""
-        key = (p, subject, objects)
-        hit = self._input_cache.get(key)
+        cache = self._input_cache
+        hit = cache.get((p, subject, objects))
         if hit is not None:
             return hit
-        out: list[tuple[Process, tuple[str, ...]]] = []
-        match p:
-            case Nil():
-                pass
-            case Prefixed(prefix=pre, continuation=cont):
-                guards, core = prefix_chain(pre)
-                if _guards_pass(guards) and isinstance(core, Receive) and core.subject == subject:
+        todo = [p]
+        while todo:
+            t = todo[-1]
+            out: list[tuple[Process, tuple[str, ...]]] = []
+            kind = type(t)
+            if kind is Prefixed:
+                guards, core = prefix_chain(t.prefix)
+                if _guards_pass(guards) and type(core) is Receive and core.subject == subject:
                     if len(core.binders) != len(objects):
                         raise SortError(
                             f"receive on {subject.ident!r} has arity {len(core.binders)}, "
                             f"synchronization offers {len(objects)}")
-                    target = substitute(cont, dict(zip(core.binders, objects)))
+                    target = substitute(t.continuation, dict(zip(core.binders, objects)))
                     out.append((target, ("match",) * len(guards) + ("in",)))
-            case Par(left=l, right=r):
-                for t, rl in self._input_on(l, subject, objects):
-                    out.append((Par(t, r), rl + ("par-l",)))
-                for t, rl in self._input_on(r, subject, objects):
-                    out.append((Par(l, t), rl + ("par-r",)))
-            case Restrict(channels=ks, body=body):
-                if not (set(ks) & (set(objects) | {subject})):
-                    for t, rl in self._input_on(body, subject, objects):
-                        out.append((Restrict(ks, t), rl + ("res",)))
-            case Repl(body=body):
-                for t, rl in self._input_on(body, subject, objects):
-                    out.append((Par(t, Repl(body)), rl + ("rep-act",)))
-        self._input_cache[key] = out
+            elif kind is Par:
+                l, r = t.left, t.right
+                ls = cache.get((l, subject, objects))
+                rs = cache.get((r, subject, objects))
+                if ls is None or rs is None:
+                    todo += [q for q, d in ((r, rs), (l, ls)) if d is None]
+                    continue
+                for t2, rl in ls:
+                    out.append((Par(t2, r), rl + ("par-l",)))
+                for t2, rl in rs:
+                    out.append((Par(l, t2), rl + ("par-r",)))
+            elif kind is Restrict:
+                ks = t.channels
+                if subject not in ks and not any(o in ks for o in objects):
+                    inner = cache.get((t.body, subject, objects))
+                    if inner is None:
+                        todo.append(t.body)
+                        continue
+                    for t2, rl in inner:
+                        out.append((Restrict(ks, t2), rl + ("res",)))
+            elif kind is Repl:
+                inner = cache.get((t.body, subject, objects))
+                if inner is None:
+                    todo.append(t.body)
+                    continue
+                for t2, rl in inner:
+                    out.append((Par(t2, t), rl + ("rep-act",)))
+            cache[(todo.pop(), subject, objects)] = out
+            while todo and (todo[-1], subject, objects) in cache:
+                todo.pop()  # a premise pushed twice
         return out
 
-
     def _succ(self, p: Process, env: frozenset[Name]) -> list:
-        key = (p, env)
-        hit = self._succ_cache.get(key)
+        cache = self._succ_cache
+        hit = cache.get((p, env))
         if hit is not None:
             return hit
-        out: list[tuple[Action, Process, tuple[str, ...]]] = []
-        match p:
-            case Nil():
-                pass
-            case Prefixed(prefix=pre, continuation=cont):
-                guards, core = prefix_chain(pre)
+        todo = [p]
+        while todo:
+            p = todo[-1]
+            out: list[tuple[Action, Process, tuple[str, ...]]] = []
+            kind = type(p)
+            if kind is Prefixed:
+                cont = p.continuation
+                guards, core = prefix_chain(p.prefix)
                 if _guards_pass(guards):
                     rules = ("match",) * len(guards)
-                    if isinstance(core, Send):
+                    if type(core) is Send:
                         if core.subject.is_channel and all(o.is_channel for o in core.objects):
                             out.append((OutAct(core.subject, core.objects), cont,
                                         rules + ("out",)))
@@ -327,9 +340,13 @@ class Engine:
                             target = substitute(cont, dict(zip(core.binders, tup)))
                             out.append((InAct(core.subject, tup), target,
                                         rules + ("in",)))
-            case Par(left=l, right=r):
-                ls = self._succ(l, env)
-                rs = self._succ(r, env)
+            elif kind is Par:
+                l, r = p.left, p.right
+                ls = cache.get((l, env))
+                rs = cache.get((r, env))
+                if ls is None or rs is None:
+                    todo += [q for q, d in ((r, rs), (l, ls)) if d is None]
+                    continue
                 # free_names is memoised per node and read only by a
                 # bound output, so a state without one never computes it.
                 for a, t, rl in ls:
@@ -358,15 +375,15 @@ class Engine:
                         for t2, rl2 in self._input_on(l, a2.subject, a2.objects):
                             out.append((TAU, Restrict(a2.bound, Par(t2, t)),
                                         rl + rl2 + ("close-r",)))
-            case Restrict(channels=ks, body=body):
-                if len(ks) > 1:
-                    # Multi-restriction is definitionally nested singles.
-                    inner_p: Process = Restrict(ks[1:], body)
-                    ks = ks[:1]
-                else:
-                    inner_p = body
-                k = ks[0]
-                for a, t, rl in self._succ(inner_p, env):
+            elif kind is Restrict:
+                # Multi-restriction is definitionally nested singles.
+                k, ks = p.channels[0], p.channels[1:]
+                inner_p = Restrict(ks, p.body) if ks else p.body
+                inner = cache.get((inner_p, env))
+                if inner is None:
+                    todo.append(inner_p)
+                    continue
+                for a, t, rl in inner:
                     if isinstance(a, OutAct) and k in a.objects and a.subject != k:
                         out.append((BoundOutAct(a.subject, a.objects, (k,)), t,
                                     rl + ("open",)))
@@ -379,8 +396,12 @@ class Engine:
                                     rl + ("open",)))
                     elif k not in action_names(a):
                         out.append((a, Restrict((k,), t), rl + ("res",)))
-            case Repl(body=body):
-                inner = self._succ(body, env)
+            elif kind is Repl:
+                body = p.body
+                inner = cache.get((body, env))
+                if inner is None:
+                    todo.append(body)
+                    continue
                 for a, t, rl in inner:
                     if isinstance(a, BoundOutAct):
                         a, t = _rename_bound_away(a, t, free_names(body))
@@ -395,7 +416,9 @@ class Engine:
                         for t2, rl2 in self._input_on(body, a2.subject, a2.objects):
                             out.append((TAU, Par(Restrict(a2.bound, Par(t, t2)), p),
                                         rl + rl2 + ("rep-close",)))
-        self._succ_cache[key] = out
+            cache[(todo.pop(), env)] = out
+            while todo and (todo[-1], env) in cache:
+                todo.pop()  # a premise pushed twice
         return out
 
 

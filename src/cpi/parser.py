@@ -19,10 +19,11 @@ The text layer is linear and does not recurse along chains.  The
 tokenizer scans the text once with one pattern and keeps each token's
 offset; an offset becomes a line and column only when a
 :class:`CpiSyntaxError` is raised.  The parser reads a run of prefixes in
-a loop and ``|`` chains in a loop.  :func:`render` walks with an explicit
-stack and keeps a text on the node asked for, on each prefix and on each
-``|`` component, never on the links of a chain, so what it keeps is
-linear in the size of a chain.
+a loop and ``|`` chains in a loop, and keeps the processes that ``(``,
+``!`` and ``new`` open on an explicit stack.  :func:`render` walks with an
+explicit stack and keeps a text on the node asked for, on each prefix and
+on each ``|`` component, never on the links of a chain, so what it keeps
+is linear in the size of a chain.
 """
 
 from __future__ import annotations
@@ -118,55 +119,68 @@ class _Parser:
         self.i += 1
         return t
 
+    def take_idents(self) -> list[str]:
+        """One or more identifiers separated by commas."""
+        idents = [self.take_ident()]
+        while self.peek() == ",":
+            self.take(",")
+            idents.append(self.take_ident())
+        return idents
+
     # -- grammar -----------------------------------------------------------
 
     def parse_process(self, env: dict[str, Name]) -> Process:
-        left = self.parse_term(env)
-        while self.peek() == "|":
-            self.take("|")
-            right = self.parse_term(env)
-            left = Par(left, right)
-        return left
-
-    def parse_term(self, env: dict[str, Name]) -> Process:
-        """A run of prefixes, parsed in a loop, and the term they guard."""
-        prefixes = []
+        """A process, parsed in a loop.  ``opened`` keeps, for each '(',
+        '!' or 'new' whose process is being read, the '|' chain around it,
+        that chain's scope, the prefixes that guard it and its token."""
+        opened: list = []
+        left = None
         while True:
-            t = self.peek()
-            if t is None:
+            # A term: a run of prefixes, then '0' or an opening.
+            prefixes = []
+            scope = env
+            while True:
+                t = self.peek()
+                if t is None:
+                    self.fail("a process")
+                # 'in' is taken for a subject, to fail as an identifier
+                if not (t == "[" or t != "new" and (t[0].isalpha() or t[0] == "#")):
+                    break
+                prefix, scope = self.parse_prefix(scope)
+                self.take(".")
+                prefixes.append(prefix)
+            if t not in ("0", "(", "!", "new"):
                 self.fail("a process")
-            # 'in' is taken for a subject, to fail as an identifier
-            if not (t == "[" or t != "new" and (t[0].isalpha() or t[0] == "#")):
-                break
-            prefix, env = self.parse_prefix(env)
-            self.take(".")
-            prefixes.append(prefix)
-        if t not in ("0", "(", "!", "new"):
-            self.fail("a process")
-        self.i += 1
-        if t == "0":
+            self.i += 1
+            if t != "0":
+                channels = None
+                if t == "new":
+                    channels = tuple(Name(CHAN, i) for i in self.take_idents())
+                    self.take("in")
+                    scope = dict(scope)
+                    scope.update((n.ident, n) for n in channels)
+                opened.append((left, env, prefixes, t, channels))
+                left, env = None, scope
+                continue
             p = NIL
-        elif t == "(":
-            p = self.parse_process(env)
-            self.take(")")
-        elif t == "!":
-            p = Repl(self.parse_process(env))
-        else:
-            idents = [self.take_ident()]
-            while self.peek() == ",":
-                self.take(",")
-                idents.append(self.take_ident())
-            self.take("in")
-            env2 = dict(env)
-            channels = []
-            for ident in idents:
-                n = Name(CHAN, ident)
-                env2[ident] = n
-                channels.append(n)
-            p = Restrict(tuple(channels), self.parse_process(env2))
-        for prefix in reversed(prefixes):
-            p = Prefixed(prefix, p)
-        return p
+            while True:
+                for prefix in reversed(prefixes):
+                    p = Prefixed(prefix, p)
+                left = p if left is None else Par(left, p)
+                if self.peek() == "|":
+                    self.take("|")
+                    break
+                if not opened:
+                    return left
+                # The innermost opened process ends here.
+                p = left
+                left, env, prefixes, t, channels = opened.pop()
+                if t == "(":
+                    self.take(")")
+                elif t == "!":
+                    p = Repl(p)
+                else:
+                    p = Restrict(channels, p)
 
     def parse_prefix(self, env: dict[str, Name]) -> tuple[Prefix, dict[str, Name]]:
         guards = []
@@ -182,29 +196,19 @@ class _Parser:
         if t == "!":
             self.take()
             self.take("<")
-            objs = [self._resolve(self.take_ident(), env)]
-            while self.peek() == ",":
-                self.take(",")
-                objs.append(self._resolve(self.take_ident(), env))
+            objs = [self._resolve(i, env) for i in self.take_idents()]
             self.take(">")
             return wrap_matches(guards, Send(subject, tuple(objs))), env
         if t == "?":
             self.take()
             self.take("(")
-            idents = [self.take_ident()]
-            while self.peek() == ",":
-                self.take(",")
-                idents.append(self.take_ident())
+            binders = tuple(Name(VAR, i) for i in self.take_idents())
             self.take(")")
-            env2 = dict(env)
-            binders = []
-            for ident in idents:
-                n = Name(VAR, ident)
-                env2[ident] = n
-                binders.append(n)
             if len(set(binders)) != len(binders):
                 self.fail("pairwise distinct receive binders")
-            return wrap_matches(guards, Receive(subject, tuple(binders))), env2
+            env = dict(env)
+            env.update((n.ident, n) for n in binders)
+            return wrap_matches(guards, Receive(subject, binders)), env
         self.fail("'!' or '?'")
 
     @staticmethod
@@ -255,10 +259,9 @@ def _extends_right(p: Process) -> bool:
 
 def _render_prefix(pre: Prefix) -> str:
     """The text of ``pre``, kept on the prefix node."""
-    try:
-        return pre._text
-    except AttributeError:
-        pass
+    text = getattr(pre, "_text", None)
+    if text is not None:
+        return text
     guards, core = prefix_chain(pre)
     text = "".join(f"[{a.ident}={b.ident}]" for a, b in guards)
     if type(core) is Send:
@@ -279,21 +282,22 @@ def render(p: Process) -> str:
     and on each ``|`` component that is not itself a ``|``.  Nothing is
     kept on the links of a prefix chain or on the body of ``new`` or
     ``!``.  So each character of the text is kept once for ``p`` and once
-    more for each ``|`` component it lies in, however long the chains.  A
-    text already kept is used wherever its node is met."""
-    try:
-        return p._text
-    except AttributeError:
-        pass
+    more for each ``|`` component it lies in, however long the chains.
+    Only those nodes are asked for a kept text: on a fresh term every such
+    probe misses."""
+    text = getattr(p, "_text", None)
+    if text is not None:
+        return text
     parts: list[str] = []
     # What is left to print, last first: a string, a process, or the
     # (node, start) of a process to keep, whose text starts at parts[start].
-    todo: list = []
-    t, keep = p, True
+    todo: list = [(p, 0)]
+    t, keep = p, False
     while True:
-        try:
-            parts.append(t._text)
-        except AttributeError:
+        text = getattr(t, "_text", None) if keep else None
+        if text is not None:
+            parts.append(text)
+        else:
             if keep:
                 todo.append((t, len(parts)))
             kind = type(t)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 CHAN = "chan"
 VAR = "var"
@@ -336,113 +336,143 @@ def wrap_matches(guards: Iterable[tuple[Name, Name]], core: Prefix) -> Prefix:
 
 
 # ---------------------------------------------------------------------------
+# The traversal discipline
+#
+# Every walk along a term is a loop on an explicit stack, so the depth of
+# a term is no limit.  It visits in pre-order, the left of '|' before the
+# right, and threads one mutable binder environment: when a scope opens
+# the binder's outer entry is saved on a trail, which is rolled back to
+# its length at a '|' before the right is walked.  A walk that builds a
+# term pushes one-hole contexts on the way down and fills them on the way
+# up (_fill): a prefix, for ``prefix.hole``, or one of these tuples.
+_RIGHT = 0      # (_RIGHT, right, mark): the right of a '|', still to walk
+_PAR_L = 1      # (_PAR_L, left): Par(left, hole)
+_PAR_R = 2      # (_PAR_R, right): Par(hole, right)
+_NEW = 3        # (_NEW, channels): Restrict(channels, hole)
+_REPL = (4,)    # Repl(hole)
+
+
+def _rollback(env: dict, trail: list, mark: int) -> None:
+    """Restore the entries of ``env`` saved on ``trail`` beyond ``mark``."""
+    while len(trail) > mark:
+        b, outer = trail.pop()
+        if outer is None:
+            env.pop(b, None)
+        else:
+            env[b] = outer
+
+
+def _fill(todo: list, out: Process, env: dict,
+          trail: list) -> tuple[Optional[Process], Process]:
+    """Fill the contexts on ``todo`` with ``out``, last first.  At a '|'
+    whose right is still to walk, roll ``env`` back to that '|' and
+    return ``(right, None)``; when ``todo`` is empty, ``(None, out)``."""
+    while todo:
+        item = todo.pop()
+        if type(item) is not tuple:
+            out = Prefixed(item, out)
+            continue
+        tag = item[0]
+        if tag == _RIGHT:
+            if len(trail) > item[2]:
+                _rollback(env, trail, item[2])
+            todo.append((_PAR_L, out))
+            return item[1], None
+        if tag == _PAR_L:
+            out = Par(item[1], out)
+        elif tag == _PAR_R:
+            out = Par(out, item[1])
+        elif tag == _NEW:
+            out = Restrict(item[1], out)
+        else:
+            out = Repl(out)
+    return None, out
+
+
+# ---------------------------------------------------------------------------
 # Name analysis
 
 
-def _prefix_free(pre: Prefix, cont_free: frozenset[Name]) -> frozenset[Name]:
-    match pre:
-        case Send(subject=s, objects=objs):
-            return cont_free | {s} | set(objs)
-        case Receive(subject=s, binders=bs):
-            return (cont_free - set(bs)) | {s}
-        case Match(lhs=a, rhs=b, inner=inner):
-            return _prefix_free(inner, cont_free) | {a, b}
-    raise TypeError(pre)
+# What a walk of _names collects.
+_FREE, _FNN, _OUTPUTS, _BOUND = "free", "fnn", "outputs", "bound"
 
 
-def free_names(p: Process) -> frozenset[Name]:
-    """Names with a free occurrence in ``p`` (channels and variables)."""
-    try:
-        return p._free
-    except AttributeError:
-        pass
-    match p:
-        case Nil():
-            out = frozenset()
-        case Prefixed(prefix=pre, continuation=cont):
-            out = _prefix_free(pre, free_names(cont))
-        case Par(left=l, right=r):
-            out = free_names(l) | free_names(r)
-        case Restrict(channels=ks, body=body):
-            out = free_names(body) - set(ks)
-        case Repl(body=body):
-            out = free_names(body)
-        case _:
-            raise TypeError(p)
-    _remember(p, "_free", out)
-    return out
-
-
-def bound_names(p: Process) -> frozenset[Name]:
-    """Names bound somewhere in ``p``: receive binders and restricted
-    channels.  One walk collects them into one set, following
-    continuations and bodies in a loop."""
+def _names(p: Process, what: str) -> frozenset[Name]:
+    """The names of ``p`` that ``what`` asks for: those with a free
+    occurrence (``_FREE``), those but for the names of reflexive guards
+    (``_FNN``), the free channels that sends output (``_OUTPUTS``), or
+    the binders (``_BOUND``).  ``env`` holds the binders in scope."""
+    free = what is _FREE or what is _FNN
     out: set[Name] = set()
-    todo = [p]
+    env: dict[Name, bool] = {}
+    trail: list = []
+    todo = [(p, 0)]
     while todo:
-        t = todo.pop()
+        t, mark = todo.pop()
+        _rollback(env, trail, mark)
         while True:
             kind = type(t)
             if kind is Prefixed:
-                core = t.prefix
-                while type(core) is Match:
-                    core = core.inner
-                if type(core) is Receive:
-                    out.update(core.binders)
+                pre = t.prefix
+                names = []
+                while type(pre) is Match:
+                    if free and (what is _FREE or pre.lhs is not pre.rhs):
+                        names += (pre.lhs, pre.rhs)
+                    pre = pre.inner
+                if type(pre) is Send:
+                    binders = ()
+                    if what is _OUTPUTS:
+                        names += [o for o in pre.objects if o.kind == CHAN]
+                    elif free:
+                        names += (pre.subject, *pre.objects)
+                else:
+                    binders = pre.binders
+                    if free:
+                        names.append(pre.subject)
+                for n in names:
+                    if n not in env:
+                        out.add(n)
                 t = t.continuation
             elif kind is Par:
-                todo.append(t.left)
-                t = t.right
+                todo.append((t.right, len(trail)))
+                t = t.left
+                continue
             elif kind is Restrict:
-                out.update(t.channels)
+                binders = t.channels
                 t = t.body
             elif kind is Repl:
                 t = t.body
+                continue
             elif kind is Nil:
                 break
             else:
                 raise TypeError(t)
+            for b in binders:
+                trail.append((b, env.get(b)))
+                env[b] = True
+            if what is _BOUND:
+                out.update(binders)
     return frozenset(out)
 
 
-def _prefix_fo(pre: Prefix) -> frozenset[Name]:
-    match pre:
-        case Send(objects=objs):
-            return frozenset(o for o in objs if o.is_channel)
-        case Receive():
-            return frozenset()
-        case Match(inner=inner):
-            return _prefix_fo(inner)
-    raise TypeError(pre)
+def free_names(p: Process) -> frozenset[Name]:
+    """Names with a free occurrence in ``p`` (channels and variables)."""
+    free = getattr(p, "_free", None)
+    if free is None:
+        free = _names(p, _FREE)
+        _remember(p, "_free", free)
+    return free
+
+
+def bound_names(p: Process) -> frozenset[Name]:
+    """Names bound somewhere in ``p``: receive binders and restricted
+    channels."""
+    return _names(p, _BOUND)
 
 
 def free_output_objects(p: Process) -> frozenset[Name]:
     """Free channels appearing as objects of output prefixes in ``p``."""
-    match p:
-        case Nil():
-            return frozenset()
-        case Prefixed(prefix=pre, continuation=cont):
-            return _prefix_fo(pre) | free_output_objects(cont)
-        case Par(left=l, right=r):
-            return free_output_objects(l) | free_output_objects(r)
-        case Restrict(channels=ks, body=body):
-            return free_output_objects(body) - set(ks)
-        case Repl(body=body):
-            return free_output_objects(body)
-    raise TypeError(p)
-
-
-def _prefix_fnn(pre: Prefix, cont: frozenset[Name]) -> frozenset[Name]:
-    match pre:
-        case Send(subject=s, objects=objs):
-            return cont | {s} | set(objs)
-        case Receive(subject=s, binders=bs):
-            return (cont - set(bs)) | {s}
-        case Match(lhs=a, rhs=b, inner=inner):
-            if a == b:
-                return _prefix_fnn(inner, cont)
-            return _prefix_fnn(inner, cont) | {a, b}
-    raise TypeError(pre)
+    return _names(p, _OUTPUTS)
 
 
 def fnn(p: Process) -> frozenset[Name]:
@@ -451,30 +481,24 @@ def fnn(p: Process) -> frozenset[Name]:
     A guard ``[a=a]`` contributes nothing; an unequal guard contributes
     both of its names.  Elsewhere this coincides with :func:`free_names`.
     """
-    match p:
-        case Nil():
-            return frozenset()
-        case Prefixed(prefix=pre, continuation=cont):
-            return _prefix_fnn(pre, fnn(cont))
-        case Par(left=l, right=r):
-            return fnn(l) | fnn(r)
-        case Restrict(channels=ks, body=body):
-            return fnn(body) - set(ks)
-        case Repl(body=body):
-            return fnn(body)
-    raise TypeError(p)
+    return _names(p, _FNN)
 
 
 # ---------------------------------------------------------------------------
 # Fresh names and substitution
 
-def fresh_like(n: Name, avoid: set[str]) -> Name:
-    """The first reserved name ``#s0, #s1, ...`` of ``n``'s sort whose
-    identifier is not in ``avoid``."""
-    j = 0
-    while f"#s{j}" in avoid:
-        j += 1
-    return Name(n.kind, f"#s{j}")
+def _idents(prefix: str, avoid: set[str], counter: Iterator[int]) -> Iterator[str]:
+    """The identifiers ``<prefix><k>``, ``k`` drawn from ``counter``, that
+    are not in ``avoid``."""
+    idents = map(f"{prefix}{{}}".format, counter)
+    return (i for i in idents if i not in avoid) if avoid else idents
+
+
+def fresh_names(kind: str, tag: str, avoid: set[str], count: int) -> list[Name]:
+    """The first ``count`` reserved names ``#<tag>0, #<tag>1, ...`` of
+    sort ``kind`` whose identifiers are not in ``avoid``."""
+    idents = _idents("#" + tag, avoid, itertools.count())
+    return [Name(kind, next(idents)) for _ in range(count)]
 
 
 def substitute(p: Process, sigma: Mapping[Name, Name]) -> Process:
@@ -492,7 +516,41 @@ def substitute(p: Process, sigma: Mapping[Name, Name]) -> Process:
         if not v.is_channel:
             raise SubstitutionDomainError(f"substitution value {v!r} is not a channel")
     domain = frozenset(sigma)
-    return _subst(p, dict(sigma), domain)
+    m = dict(sigma)
+    trail: list = []
+    todo: list = []
+    t = p
+    while True:
+        kind = type(t)
+        if kind is Prefixed:
+            guards, core = prefix_chain(t.prefix)
+            if guards:
+                guards = [(m.get(a, a), m.get(b, b)) for a, b in guards]
+            s = m.get(core.subject, core.subject)
+            if type(core) is Send:
+                core = Send(s, tuple(map(m.get, core.objects, core.objects)))
+            else:
+                core = Receive(s, _rebind(core.binders, m, domain,
+                                          t.continuation, trail))
+            if guards:
+                core = wrap_matches(guards, core)
+            todo.append(core)
+            t = t.continuation
+        elif kind is Par:
+            todo.append((_RIGHT, t.right, len(trail)))
+            t = t.left
+        elif kind is Restrict:
+            todo.append((_NEW, _rebind(t.channels, m, domain, t.body, trail)))
+            t = t.body
+        elif kind is Repl:
+            todo.append(_REPL)
+            t = t.body
+        elif kind is Nil:
+            t, out = _fill(todo, t, m, trail)
+            if t is None:
+                return out
+        else:
+            raise TypeError(t)
 
 
 def substitute_free(p: Process, sigma: Mapping[Name, Name]) -> Process:
@@ -505,70 +563,39 @@ def substitute_free(p: Process, sigma: Mapping[Name, Name]) -> Process:
 
 
 def _rebind(binders: tuple[Name, ...], m: dict[Name, Name],
-            domain: frozenset[Name],
-            scope: Process) -> tuple[tuple[Name, ...], dict[Name, Name]]:
-    """Substitute under ``binders``, which bind in ``scope``: a binder
-    that would capture a name of ``m``'s range is renamed apart from the
-    names free in ``scope``, the range and the other binders."""
-    m2 = dict(m)
+            domain: frozenset[Name], scope: Process,
+            trail: list) -> tuple[Name, ...]:
+    """Open the scope of ``binders`` over ``scope`` in the map ``m``,
+    saving each outer entry on ``trail``.  A binder that would capture a
+    name of ``m``'s range is renamed apart from the names free in
+    ``scope``, the range and the other binders; any other binder shadows
+    its outer entry."""
     out = []
-    taken = set(m2.values())
+    taken = set(m.values())
     avoid = None
     for b in binders:
         if b in domain:
             raise SubstitutionDomainError(f"substitution remaps binder {b!r}")
+        trail.append((b, m.get(b)))
         if b in taken:
             if avoid is None:
                 avoid = {n.ident for n in free_names(scope) | taken}
                 avoid.update(n.ident for n in binders)
-            b2 = fresh_like(b, avoid)
+            b2, = fresh_names(b.kind, "s", avoid, 1)
             avoid.add(b2.ident)
-            m2[b] = b2
+            m[b] = b2
             out.append(b2)
         else:
-            m2.pop(b, None)
+            m.pop(b, None)
             out.append(b)
-    return tuple(out), m2
-
-
-def _subst_name(n: Name, m: Mapping[Name, Name]) -> Name:
-    return m.get(n, n)
-
-
-def _subst_prefix(pre: Prefix, m: dict[Name, Name], domain: frozenset[Name],
-                  cont: Process) -> tuple[Prefix, dict[Name, Name]]:
-    match pre:
-        case Send(subject=s, objects=objs):
-            return Send(_subst_name(s, m), tuple(_subst_name(o, m) for o in objs)), m
-        case Receive(subject=s, binders=bs):
-            s2 = _subst_name(s, m)
-            bs2, m2 = _rebind(bs, m, domain, cont)
-            return Receive(s2, bs2), m2
-        case Match(lhs=a, rhs=b, inner=inner):
-            inner2, m2 = _subst_prefix(inner, m, domain, cont)
-            return Match(_subst_name(a, m), _subst_name(b, m), inner2), m2
-    raise TypeError(pre)
-
-
-def _subst(p: Process, m: dict[Name, Name], domain: frozenset[Name]) -> Process:
-    match p:
-        case Nil():
-            return p
-        case Prefixed(prefix=pre, continuation=cont):
-            pre2, m2 = _subst_prefix(pre, m, domain, cont)
-            return Prefixed(pre2, _subst(cont, m2, domain))
-        case Par(left=l, right=r):
-            return Par(_subst(l, m, domain), _subst(r, m, domain))
-        case Restrict(channels=ks, body=body):
-            ks2, m2 = _rebind(ks, m, domain, body)
-            return Restrict(ks2, _subst(body, m2, domain))
-        case Repl(body=body):
-            return Repl(_subst(body, m, domain))
-    raise TypeError(p)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # Canonical forms and alpha-equivalence
+
+# What a memo probe reads when the slot is not set.
+_UNSET = object()
 
 
 def canonicalize(p: Process) -> Process:
@@ -587,14 +614,12 @@ def canonicalize(p: Process) -> Process:
     captured it, and only then does a second walk skip the free
     identifiers.
     """
-    try:
-        c = p._canonical
-    except AttributeError:
-        walker = _Canonicalizer(frozenset())
-        c = walker.walk(p, {})
-        free = frozenset(walker.free)
-        if _may_collide((n.ident for n in free), next(walker.counter)):
-            c = _Canonicalizer(free).walk(p, {})
+    c = getattr(p, "_canonical", _UNSET)
+    if c is _UNSET:
+        c, free, used = _renumber(p, set())
+        free = frozenset(free)
+        if _may_collide((n.ident for n in free), used):
+            c = _renumber(p, {n.ident for n in free})[0]
         _remember(p, "_free", free)
         if c is not p:
             _remember(p, "_canonical", c)
@@ -613,87 +638,84 @@ def _may_collide(idents: Iterable[str], used: int) -> bool:
                for i in idents)
 
 
-class _Canonicalizer:
-    """One renaming pass of :func:`canonicalize`: the free identifiers to
-    skip, the next binder number and the free names met so far."""
-
-    __slots__ = ("avoid", "counter", "free")
-
-    def __init__(self, free: frozenset[Name]):
-        self.avoid = {n.ident for n in free}
-        self.counter = itertools.count()
-        self.free: set[Name] = set()
-
-    def fresh(self, kind: str) -> Name:
-        while True:
-            ident = f"#{next(self.counter)}"
-            if ident not in self.avoid:
-                return Name(kind, ident)
-
-    # The term classes have no subclasses, so the walks dispatch on
-    # ``type(t) is ...``; each name costs one ``env.get``, which both
-    # renames it and tells whether it is free.
-
-    def prefix(self, pre: Prefix, env: dict[Name, Name]) -> tuple[Prefix, dict[Name, Name]]:
-        free = self.free
-        kind = type(pre)
-        if kind is Match:
-            inner, env2 = self.prefix(pre.inner, env)
-            a, b = pre.lhs, pre.rhs
-            a2 = env.get(a)
-            if a2 is None:
-                free.add(a)
-                a2 = a
-            b2 = env.get(b)
-            if b2 is None:
-                free.add(b)
-                b2 = b
-            return Match(a2, b2, inner), env2
-        s = pre.subject
-        s2 = env.get(s)
-        if s2 is None:
-            free.add(s)
-            s2 = s
-        if kind is Send:
-            objs = []
-            for o in pre.objects:
-                o2 = env.get(o)
-                if o2 is None:
-                    free.add(o)
-                    o2 = o
-                objs.append(o2)
-            return Send(s2, tuple(objs)), env
-        if kind is Receive:
-            env2 = dict(env)
-            fresh = []
-            for b in pre.binders:
-                env2[b] = nb = self.fresh(VAR)
-                fresh.append(nb)
-            return Receive(s2, tuple(fresh)), env2
-        raise TypeError(pre)
-
-    def walk(self, t: Process, env: dict[Name, Name]) -> Process:
+def _renumber(t: Process, avoid: set[str]) -> tuple[Process, set[Name], int]:
+    """One renaming pass of :func:`canonicalize`: the copy of ``t`` whose
+    binders are numbered in traversal order, skipping ``avoid``, the free
+    names met, and the count of numbers used.  ``env`` maps each binder
+    in scope to its number; each name costs one ``env.get``, which both
+    renames it and tells whether it is free."""
+    counter = itertools.count()
+    numbers = _idents("#", avoid, counter)
+    free: set[Name] = set()
+    env: dict[Name, Name] = {}
+    trail: list = []
+    todo: list = []
+    while True:
         kind = type(t)
         if kind is Prefixed:
-            pre, env2 = self.prefix(t.prefix, env)
-            return Prefixed(pre, self.walk(t.continuation, env2))
-        if kind is Par:
-            return Par(self.walk(t.left, env), self.walk(t.right, env))
-        if kind is Restrict:
-            env2 = dict(env)
-            fresh = []
+            core = t.prefix
+            guards = None
+            while type(core) is Match:
+                a, b = core.lhs, core.rhs
+                a2 = env.get(a)
+                if a2 is None:
+                    free.add(a)
+                    a2 = a
+                b2 = env.get(b)
+                if b2 is None:
+                    free.add(b)
+                    b2 = b
+                if guards is None:
+                    guards = []
+                guards.append((a2, b2))
+                core = core.inner
+            s = core.subject
+            s2 = env.get(s)
+            if s2 is None:
+                free.add(s)
+                s2 = s
+            kind = type(core)
+            if kind is Send:
+                objs = []
+                for o in core.objects:
+                    o2 = env.get(o)
+                    if o2 is None:
+                        free.add(o)
+                        o2 = o
+                    objs.append(o2)
+                core = Send(s2, tuple(objs))
+            elif kind is Receive:
+                bs = []
+                for b in core.binders:
+                    trail.append((b, env.get(b)))
+                    env[b] = nb = Name(VAR, next(numbers))
+                    bs.append(nb)
+                core = Receive(s2, tuple(bs))
+            else:
+                raise TypeError(core)
+            if guards is not None:
+                core = wrap_matches(guards, core)
+            todo.append(core)
+            t = t.continuation
+        elif kind is Par:
+            todo.append((_RIGHT, t.right, len(trail)))
+            t = t.left
+        elif kind is Restrict:
+            # one restriction per channel
             for k in t.channels:
-                env2[k] = nk = self.fresh(CHAN)
-                fresh.append(nk)
-            out = self.walk(t.body, env2)
-            for nk in reversed(fresh):
-                out = Restrict((nk,), out)
-            return out
-        if kind is Repl:
-            return Repl(self.walk(t.body, env))
-        if kind is Nil:
-            return t
-        raise TypeError(t)
+                trail.append((k, env.get(k)))
+                env[k] = nk = Name(CHAN, next(numbers))
+                todo.append((_NEW, (nk,)))
+            t = t.body
+        elif kind is Repl:
+            todo.append(_REPL)
+            t = t.body
+        elif kind is Nil:
+            t, out = _fill(todo, t, env, trail)
+            if t is None:
+                return out, free, next(counter)
+        else:
+            raise TypeError(t)
 
 
 def alpha_equivalent(p: Process, q: Process) -> bool:
@@ -746,64 +768,21 @@ def validate_cpi(p: Process) -> ValidationReport:
     order :func:`canonicalize` does instead of building that copy; a
     number becomes a name only when a violation is reported.
     """
-    v = _Validator()
-    v.walk(p, None)
-    clashes = [(n, paths) for n, paths in v.arities.items() if len(paths) > 1]
-    if not v.kind_viols and not clashes:
-        return ValidationReport((), ())
-    # Binder k is named by the k-th name canonicalize's numbering gives
-    # out, which skips the free identifiers that start with '#'.
-    fresh = _Canonicalizer(v.reserved).fresh
-    idents = [fresh(VAR).ident for _ in range(v.used)]
-
-    def name(n: Union[Name, tuple]) -> Name:
-        return n if type(n) is Name else Name(n[0], idents[n[1]])
-
-    kind_viols = tuple(
-        Violation(_path_text(at), f"send object {name(o).ident!r} is a variable")
-        for at, o in v.kind_viols)
-    named = {name(n): paths for n, paths in clashes}
-    sort_viols = tuple(
-        Violation(min(map(_path_text, named[n].values())),
-                  f"name {n.ident!r} used at arities {sorted(named[n])}")
-        for n in sorted(named, key=lambda n: (n.kind, n.ident)))
-    return ValidationReport(kind_viols, sort_viols)
-
-
-def _path_text(path: Optional[tuple]) -> str:
-    """The text of a path kept as ``(parent path, step)`` links."""
-    steps = []
-    while path is not None:
-        path, step = path
-        steps.append(step)
-    return "".join(reversed(steps))
-
-
-class _Validator:
-    """One walk of :func:`validate_cpi`.  A binder in scope maps in
-    ``env`` to its ``(kind, number)``, numbered from 0 in the order
-    :func:`canonicalize` renames binders; a free name stands for itself.
-    The walk keeps, per subject, the first path at which each arity is
-    used, the kind violations found so far as path and object, and the
-    free names whose identifier starts with ``#``, which the canonical
-    numbering skips."""
-
-    __slots__ = ("kind_viols", "arities", "env", "used", "reserved")
-
-    def __init__(self) -> None:
-        self.kind_viols: list[tuple[tuple, Union[Name, tuple]]] = []
-        self.arities: dict[Union[Name, tuple], dict[int, tuple]] = {}
-        self.env: dict[Name, tuple[str, int]] = {}
-        self.used = 0
-        self.reserved: set[Name] = set()
-
-    def walk(self, t: Process, path: Optional[tuple]) -> None:
-        """Check ``t``, found at ``path``.  The walk follows continuations
-        and bodies in a loop; a binder it meets stays numbered in ``env``
-        for the rest of the loop, which is its scope, and is restored
-        when the walk returns."""
-        env, arities, reserved = self.env, self.arities, self.reserved
-        shadowed = []
+    # A binder in scope maps in ``env`` to its ``(kind, number)``; a free
+    # name stands for itself.  The walk keeps, per subject, the first path
+    # at which each arity is used, the kind violations as path and object,
+    # and the free names whose identifier starts with '#', which the
+    # canonical numbering skips.
+    kind_viols: list[tuple[tuple, Union[Name, tuple]]] = []
+    arities: dict[Union[Name, tuple], dict[int, tuple]] = {}
+    reserved: set[Name] = set()
+    used = 0
+    env: dict[Name, tuple[str, int]] = {}
+    trail: list = []
+    todo: list = [(p, None, 0)]
+    while todo:
+        t, path, mark = todo.pop()
+        _rollback(env, trail, mark)
         while True:
             kind = type(t)
             if kind is Prefixed:
@@ -824,32 +803,56 @@ class _Validator:
                         if o.ident[0] == "#" and o not in env:
                             reserved.add(o)
                         if not o.is_channel:
-                            self.kind_viols.append((at, env.get(o, o)))
+                            kind_viols.append((at, env.get(o, o)))
                 else:
                     bs = pre.binders
                     arities.setdefault(subject, {}).setdefault(len(bs), at)
                     for b in bs:
-                        shadowed.append((b, env.get(b)))
-                        env[b] = (VAR, self.used)
-                        self.used += 1
+                        trail.append((b, env.get(b)))
+                        env[b] = (VAR, used)
+                        used += 1
                 t, path = t.continuation, (path, "/cont")
             elif kind is Par:
-                self.walk(t.left, (path, "/par.left"))
-                t, path = t.right, (path, "/par.right")
+                todo.append((t.right, (path, "/par.right"), len(trail)))
+                t, path = t.left, (path, "/par.left")
             elif kind is Restrict:
                 # The canonical form nests one restriction per channel.
                 for k in t.channels:
-                    shadowed.append((k, env.get(k)))
-                    env[k] = (CHAN, self.used)
-                    self.used += 1
+                    trail.append((k, env.get(k)))
+                    env[k] = (CHAN, used)
+                    used += 1
                     path = (path, "/new")
                 t = t.body
             elif kind is Repl:
                 t, path = t.body, (path, "/repl")
             else:
                 break
-        for b, outer in reversed(shadowed):
-            if outer is None:
-                del env[b]
-            else:
-                env[b] = outer
+    clashes = [(n, paths) for n, paths in arities.items() if len(paths) > 1]
+    if not kind_viols and not clashes:
+        return ValidationReport((), ())
+    # Binder k is named by the k-th name canonicalize's numbering gives
+    # out, which skips the free identifiers that start with '#'.
+    numbers = _idents("#", {n.ident for n in reserved}, itertools.count())
+    idents = [next(numbers) for _ in range(used)]
+
+    def name(n: Union[Name, tuple]) -> Name:
+        return n if type(n) is Name else Name(n[0], idents[n[1]])
+
+    kind_viols = tuple(
+        Violation(_path_text(at), f"send object {name(o).ident!r} is a variable")
+        for at, o in kind_viols)
+    named = {name(n): paths for n, paths in clashes}
+    sort_viols = tuple(
+        Violation(min(map(_path_text, named[n].values())),
+                  f"name {n.ident!r} used at arities {sorted(named[n])}")
+        for n in sorted(named, key=lambda n: (n.kind, n.ident)))
+    return ValidationReport(kind_viols, sort_viols)
+
+
+def _path_text(path: Optional[tuple]) -> str:
+    """The text of a path kept as ``(parent path, step)`` links."""
+    steps = []
+    while path is not None:
+        path, step = path
+        steps.append(step)
+    return "".join(reversed(steps))

@@ -1,10 +1,37 @@
 """The tests import ``cpi`` from ``src`` (``pythonpath`` in
 ``pyproject.toml``); the Python processes that some tests start find it
-there too."""
+there too.  The ``shallow`` fixture runs a call under a recursion limit
+only a little above the current depth."""
 
 import os
+import sys
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+
+
+def _call_shallow(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` with the recursion limit set to the
+    current frame depth plus 60, restored afterwards.  A call that
+    recurses once per level of a 200-deep term then raises
+    ``RecursionError``, whatever the default limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        return call(*args, **kwargs)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.fixture
+def shallow():
+    """The helper :func:`_call_shallow`, for tests of walks that must not
+    recurse along a term."""
+    return _call_shallow

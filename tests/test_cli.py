@@ -129,10 +129,22 @@ def test_main_callable_directly(capsys):
     ("parse", "a!<b>." * 1000 + "0\n"),
     ("parse", " | ".join(["a!<b>.0"] * 1000) + "\n"),
 ], ids=["encode-1000-prefixes", "parse-1000-prefixes", "parse-1000-way-par"])
-def test_term_too_deep_exit_3(command, text):
+def test_deep_term_exits_0(command, text):
+    # these exited 3 while the walks recursed along the term
     code, out, err = run_cli([command, "-"], text)
+    assert code == 0 and err == ""
+    assert out.count("!<") >= 1000
+
+
+def test_game_deeper_than_the_recursion_limit_exit_3(tmp_path):
+    # the bisim game recurses once per round: the only recursion left
+    # along an input
+    p, q = tmp_path / "p.cpi", tmp_path / "q.cpi"
+    p.write_text("a!<b>." * 1200 + "0")
+    q.write_text("a!<b>." * 1200 + "0 | 0")
+    code, out, err = run_cli(["bisim", str(p), str(q), "--depth", "1200"])
     assert code == EXIT_TOO_DEEP == 3 and out == ""
-    assert err.startswith("error: term too deep")
+    assert err.startswith("error: game too deep")
     assert len(err.splitlines()) == 1
 
 

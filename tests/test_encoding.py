@@ -24,7 +24,7 @@ from cpi.parser import PI, parse, render
 from cpi.syntax import (
     Match, Name, Par, Prefixed, Receive, Repl, ReservedNameError, Restrict,
     Send, alpha_equivalent, bound_names, canonicalize, chan, free_names,
-    substitute, validate_cpi, var,
+    prefix_chain, substitute, validate_cpi, var, wrap_matches,
 )
 
 ENCODING_CORPUS = sorted(
@@ -325,3 +325,64 @@ def test_completeness_reports_are_pinned():
         json.dumps(check_completeness(x, 12, d).to_json(), sort_keys=True)
         for d in (4, 7) for x in sources)
     assert hashlib.sha256(dump.encode()).hexdigest() == COMPLETENESS_SHA256
+
+
+def _rec_encode(p, fresh_start=0):
+    """encode as the recursive translation computed it, reserved binders
+    renamed as they are met."""
+    taken = {n.ident for n in free_names(p) | bound_names(p)}
+    surface = (f"src{i}" for i in itertools.count() if f"src{i}" not in taken)
+    fr = itertools.count(fresh_start)
+
+    def bind(bn, env):
+        if bn.is_reserved:
+            env[bn] = Name(bn.kind, next(surface))
+        return env.get(bn, bn)
+
+    def enc(t, env):
+        if isinstance(t, Par):
+            return Par(enc(t.left, env), enc(t.right, env))
+        if isinstance(t, Repl):
+            return Repl(enc(t.body, env))
+        if isinstance(t, Restrict):
+            env = dict(env)
+            ks = [bind(k, env) for k in t.channels]
+            out = enc(t.body, env)
+            for k in reversed(ks):
+                tr = renaming_policy(k)
+                out = Restrict((k, tr.n_name, tr.m_name), Par(out, handler(k)))
+            return out
+        if not isinstance(t, Prefixed):
+            return t
+        guards, core = prefix_chain(t.prefix)
+        guards = [(env.get(g, g), env.get(h, h)) for g, h in guards]
+        subject = env.get(core.subject, core.subject)
+        if isinstance(core, Send):
+            obj = core.objects[0]
+            ta, tb = renaming_policy(subject), renaming_policy(env.get(obj, obj))
+            e1, e2, y = chan(f"#e{next(fr)}"), chan(f"#e{next(fr)}"), var(f"#y{next(fr)}")
+            return Restrict((e1, e2), Prefixed(
+                wrap_matches(guards, Send(ta.n_name, (e1,))),
+                Prefixed(Send(tb.m_name, (e1, e2)), Prefixed(
+                    Receive(e2, (y,)), Prefixed(Send(y, (e1,)), enc(t.continuation, env))))))
+        env = dict(env)
+        x = bind(core.binders[0], env)
+        tx = renaming_policy(x)
+        xc, dummy = var(f"#w{next(fr)}"), var(f"#y{next(fr)}")
+        return Prefixed(
+            wrap_matches(guards, Receive(subject, (x, tx.n_name, tx.m_name, xc))),
+            Prefixed(Receive(xc, (dummy,)), enc(t.continuation, env)))
+
+    return enc(p, {})
+
+
+def test_encode_agrees_with_recursive_translation():
+    rng = random.Random(2121)
+    sources = list(_canonical_sources())
+    for _ in range(2000):
+        p = random_pi_process(rng, rng.randint(1, 24), repl_weight=0.1)
+        sources += (p, canonicalize(p))
+    for p in sources:
+        for start in (0, 7):
+            assert encode(p, start) is _rec_encode(p, start), render(p)
+    assert len(sources) >= 4600

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import pickle
 import random
 import subprocess
@@ -21,7 +22,7 @@ from cpi.gen import random_cpi_process, random_pi_process
 from cpi.parser import PI, parse, render
 from cpi.syntax import (
     Match, NIL, Name, Par, Prefixed, Receive, Repl, Restrict, Send,
-    SubstitutionDomainError, ValidationReport, Violation, _Canonicalizer,
+    SubstitutionDomainError, ValidationReport, Violation, _renumber,
     alpha_equivalent, bound_names, canonicalize, chan, fnn, free_names,
     free_output_objects, par, prefix_chain, substitute, validate_cpi, var,
 )
@@ -222,7 +223,7 @@ def test_canonical_form_is_its_own_canonical_form():
     for _ in range(200):
         p = random_pi_process(rng, rng.randint(1, 12), repl_weight=0.1)
         cp = canonicalize(p)
-        assert _Canonicalizer(free_names(cp)).walk(cp, {}) is cp
+        assert _renumber(cp, {n.ident for n in free_names(cp)})[0] is cp
 
 
 def test_canonicalize_skips_free_reserved_idents():
@@ -476,7 +477,7 @@ def test_canonicalize_agrees_with_two_walks():
     for p in _canonicalize_cases():
         walked = not hasattr(p, "_canonical")
         free = _reference_free(p)
-        want = _Canonicalizer(frozenset(free)).walk(p, {})
+        want = _renumber(p, {n.ident for n in free})[0]
         got = canonicalize(p)
         assert got is want, render(p)
         assert free_names(p) == free, render(p)
@@ -556,3 +557,169 @@ def test_bad_nodes_raise_and_are_not_interned(build):
         with pytest.raises(ValueError):
             build()
     assert len(syntax._nodes) == before
+
+
+# ---------------------------------------------------------------------------
+# The walks against the recursive walks they replaced, kept here as the
+# reference: one recursion per term shape, no memo.
+
+
+def _rec_prefix_names(pre, cont, what):
+    if isinstance(pre, Match):
+        inner = _rec_prefix_names(pre.inner, cont, what)
+        if what == "outputs" or what == "fnn" and pre.lhs == pre.rhs:
+            return inner
+        return inner | {pre.lhs, pre.rhs}
+    if isinstance(pre, Send):
+        if what == "outputs":
+            return cont | {o for o in pre.objects if o.is_channel}
+        return cont | {pre.subject} | set(pre.objects)
+    if what == "outputs":
+        return cont
+    return (cont - set(pre.binders)) | {pre.subject}
+
+
+def _rec_names(p, what):
+    """free_names, fnn or free_output_objects as the recursive walks
+    computed them."""
+    if isinstance(p, Prefixed):
+        return _rec_prefix_names(p.prefix, _rec_names(p.continuation, what), what)
+    if isinstance(p, Par):
+        return _rec_names(p.left, what) | _rec_names(p.right, what)
+    if isinstance(p, Restrict):
+        return _rec_names(p.body, what) - set(p.channels)
+    if isinstance(p, Repl):
+        return _rec_names(p.body, what)
+    return frozenset()
+
+
+def _rec_rebind(binders, m, domain, scope):
+    m2, out, taken, avoid = dict(m), [], set(m.values()), None
+    for bn in binders:
+        if bn in domain:
+            raise SubstitutionDomainError(f"substitution remaps binder {bn!r}")
+        if bn in taken:
+            if avoid is None:
+                avoid = {n.ident for n in _rec_names(scope, "free") | taken}
+                avoid.update(n.ident for n in binders)
+            j = 0
+            while f"#s{j}" in avoid:
+                j += 1
+            avoid.add(f"#s{j}")
+            m2[bn] = Name(bn.kind, f"#s{j}")
+            out.append(m2[bn])
+        else:
+            m2.pop(bn, None)
+            out.append(bn)
+    return tuple(out), m2
+
+
+def _rec_subst_prefix(pre, m, domain, cont):
+    if isinstance(pre, Send):
+        return Send(m.get(pre.subject, pre.subject),
+                    tuple(m.get(o, o) for o in pre.objects)), m
+    if isinstance(pre, Receive):
+        bs, m2 = _rec_rebind(pre.binders, m, domain, cont)
+        return Receive(m.get(pre.subject, pre.subject), bs), m2
+    inner, m2 = _rec_subst_prefix(pre.inner, m, domain, cont)
+    return Match(m.get(pre.lhs, pre.lhs), m.get(pre.rhs, pre.rhs), inner), m2
+
+
+def _rec_subst(p, m, domain):
+    if isinstance(p, Prefixed):
+        pre, m2 = _rec_subst_prefix(p.prefix, m, domain, p.continuation)
+        return Prefixed(pre, _rec_subst(p.continuation, m2, domain))
+    if isinstance(p, Par):
+        return Par(_rec_subst(p.left, m, domain), _rec_subst(p.right, m, domain))
+    if isinstance(p, Restrict):
+        ks, m2 = _rec_rebind(p.channels, m, domain, p.body)
+        return Restrict(ks, _rec_subst(p.body, m2, domain))
+    if isinstance(p, Repl):
+        return Repl(_rec_subst(p.body, m, domain))
+    return p
+
+
+def _rec_canonicalize(p):
+    """canonicalize as the recursive walk computed it: number the binders
+    skipping the free '#k' identifiers, copying the environment at every
+    binder, and nest one restriction per channel."""
+    avoid = {n.ident for n in _rec_names(p, "free")}
+    numbers = (f"#{k}" for k in itertools.count() if f"#{k}" not in avoid)
+
+    def rename(n, env):
+        return env.get(n, n)
+
+    def prefix(pre, env):
+        if isinstance(pre, Match):
+            inner, env2 = prefix(pre.inner, env)
+            return Match(rename(pre.lhs, env), rename(pre.rhs, env), inner), env2
+        s = rename(pre.subject, env)
+        if isinstance(pre, Send):
+            return Send(s, tuple(rename(o, env) for o in pre.objects)), env
+        env2 = dict(env)
+        for bn in pre.binders:
+            env2[bn] = var(next(numbers))
+        return Receive(s, tuple(env2[bn] for bn in pre.binders)), env2
+
+    def walk(t, env):
+        if isinstance(t, Prefixed):
+            pre, env2 = prefix(t.prefix, env)
+            return Prefixed(pre, walk(t.continuation, env2))
+        if isinstance(t, Par):
+            return Par(walk(t.left, env), walk(t.right, env))
+        if isinstance(t, Restrict):
+            env2 = dict(env)
+            for k in t.channels:
+                env2[k] = chan(next(numbers))
+            out = walk(t.body, env2)
+            for k in reversed(t.channels):
+                out = Restrict((env2[k],), out)
+            return out
+        if isinstance(t, Repl):
+            return Repl(walk(t.body, env))
+        return t
+
+    return walk(p, {})
+
+
+def _walk_cases():
+    """_canonicalize_cases, then 2,000 seeded pi terms with their
+    canonical forms and translations."""
+    yield from _canonicalize_cases()
+    rng = random.Random(2020)
+    for _ in range(2000):
+        p = random_pi_process(rng, rng.randint(1, 24), repl_weight=0.1)
+        yield p
+        yield _rec_canonicalize(p)
+        yield encode(p)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except SubstitutionDomainError as e:
+        return str(e)
+
+
+def test_walks_agree_with_recursive_walks():
+    rng = random.Random(77)
+    checked = {"terms": 0, "renamed": 0, "domain_error": 0}
+    for p in _walk_cases():
+        want = {w: _rec_names(p, w) for w in ("free", "fnn", "outputs")}
+        assert free_output_objects(p) == want["outputs"], render(p)
+        assert fnn(p) == want["fnn"], render(p)
+        assert canonicalize(p) is _rec_canonicalize(p), render(p)
+        assert free_names(p) == want["free"], render(p)
+        # a substitution into the term, whose range often meets a binder
+        idents = sorted({n.ident for n in bound_names(p)} | {"a", "#s0"})
+        domain = sorted(want["free"] | bound_names(p), key=repr)
+        if domain:
+            sigma = {n: chan(rng.choice(idents))
+                     for n in rng.sample(domain, min(2, len(domain)))}
+            got = _outcome(substitute, p, sigma)
+            assert got == _outcome(_rec_subst, p, sigma, frozenset(sigma)), render(p)
+            checked["domain_error"] += type(got) is str
+            checked["renamed"] += type(got) is not str and any(
+                n.ident.startswith("#s") for n in bound_names(got))
+        checked["terms"] += 1
+    assert checked["terms"] >= 7000 and min(checked.values()) >= 100, checked

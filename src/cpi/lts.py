@@ -11,19 +11,25 @@ never be seen from outside, so it is never instantiated.  The empty
 environment is therefore the no-inputs mode: a state explored without
 inputs is explored in it, and a closed state has one transition set
 whether inputs are asked for or not.
+
+Actions are interned like terms, through the same table: equal actions
+are the same object, compared and hashed by identity, and each keeps its
+sort key.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional, Union
 
 from .parser import render
 from .syntax import (
     CHAN, CpiError, Name, Par, Prefixed, Process, Receive, Repl, Restrict,
-    Send, SortError, canonicalize, free_names, fresh_names, prefix_chain,
-    substitute, substitute_free,
+    Send, SortError, _MISSING, _Node, _keep, _nodes, _remember,
+    canonicalize, free_names, fresh_names, prefix_chain, substitute,
+    substitute_free,
 )
 
 
@@ -33,36 +39,79 @@ class NoSuchTransition(CpiError):
         super().__init__(f"no matching transition at step {step}" + (f": {message}" if message else ""))
 
 
-@dataclass(frozen=True)
-class OutAct:
-    subject: Name
-    objects: tuple[Name, ...]
+# Actions are built like terms (see the hash-consing note in syntax.py).
+# Each keeps its sort key, computed once on a table miss: tau, outputs,
+# bound outputs and inputs in that order, then the identifiers.
 
 
-@dataclass(frozen=True)
-class InAct:
-    subject: Name
-    objects: tuple[Name, ...]
+class _Action(_Node):
+    __slots__ = ("_sort_key",)
 
 
-@dataclass(frozen=True)
-class BoundOutAct:
-    subject: Name
-    objects: tuple[Name, ...]
-    bound: tuple[Name, ...]
+class _Message(_Action):
+    """An output or an input: ``subject`` with ``objects``."""
 
-    def __post_init__(self) -> None:
-        if not self.bound:
-            raise ValueError("bound output needs a bound object")
-        if not set(self.bound) <= set(self.objects):
-            raise ValueError("bound names must be among the objects")
-        if self.subject in self.bound:
-            raise ValueError("bound output subject cannot be bound")
+    __slots__ = __match_args__ = ("subject", "objects")
+
+    def __new__(cls, subject: Name, objects: tuple[Name, ...]) -> "_Message":
+        key = (cls, subject, objects)
+        node = _nodes.get(key, _MISSING)()
+        if node is None:
+            node = object.__new__(cls)
+            _remember(node, "subject", subject)
+            _remember(node, "objects", objects)
+            _remember(node, "_sort_key", (cls._rank, subject.ident,
+                                          tuple(o.ident for o in objects), ()))
+            _keep(node, key)
+        return node
 
 
-@dataclass(frozen=True)
-class TauAct:
-    pass
+class OutAct(_Message):
+    __slots__ = ()
+    _rank = 1
+
+
+class InAct(_Message):
+    __slots__ = ()
+    _rank = 3
+
+
+class BoundOutAct(_Action):
+    __slots__ = __match_args__ = ("subject", "objects", "bound")
+
+    def __new__(cls, subject: Name, objects: tuple[Name, ...],
+                bound: tuple[Name, ...]) -> "BoundOutAct":
+        key = (cls, subject, objects, bound)
+        node = _nodes.get(key, _MISSING)()
+        if node is None:
+            if not bound:
+                raise ValueError("bound output needs a bound object")
+            if not set(bound) <= set(objects):
+                raise ValueError("bound names must be among the objects")
+            if subject in bound:
+                raise ValueError("bound output subject cannot be bound")
+            node = object.__new__(cls)
+            _remember(node, "subject", subject)
+            _remember(node, "objects", objects)
+            _remember(node, "bound", bound)
+            _remember(node, "_sort_key", (2, subject.ident,
+                                          tuple(o.ident for o in objects),
+                                          tuple(b.ident for b in bound)))
+            _keep(node, key)
+        return node
+
+
+class TauAct(_Action):
+    __slots__ = ()
+
+    def __new__(cls) -> "TauAct":
+        key = (cls,)
+        node = _nodes.get(key, _MISSING)()
+        if node is None:
+            node = object.__new__(cls)
+            _remember(node, "_sort_key", (0, "", (), ()))
+            _keep(node, key)
+        return node
 
 
 Action = Union[OutAct, InAct, BoundOutAct, TauAct]
@@ -125,17 +174,8 @@ class Transition:
                 "rules": list(self.rules)}
 
 
-def _action_sort_key(a: Action):
-    match a:
-        case TauAct():
-            return (0, "", (), ())
-        case OutAct(subject=s, objects=objs):
-            return (1, s.ident, tuple(o.ident for o in objs), ())
-        case BoundOutAct(subject=s, objects=objs, bound=bound):
-            return (2, s.ident, tuple(o.ident for o in objs), tuple(b.ident for b in bound))
-        case InAct(subject=s, objects=objs):
-            return (3, s.ident, tuple(o.ident for o in objs), ())
-    raise TypeError(a)
+# The order of actions in a transition set: reads the key kept on the action.
+_action_sort_key = attrgetter("_sort_key")
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import re
 from .syntax import (
     CHAN, VAR, CpiError, CpiViolation, Name, NIL, Nil, Par, Prefix, Prefixed,
     Process, Receive, Repl, Restrict, Send, SortError, _remember,
-    canonicalize, prefix_chain, validate_cpi, wrap_matches,
+    _rollback, canonicalize, prefix_chain, validate_cpi, wrap_matches,
 )
 
 CPI = "cpi"
@@ -90,6 +90,13 @@ def _tokenize(text: str, allow_reserved: bool) -> tuple[list, list[int]]:
     return toks, offsets
 
 
+def _bind(scope: dict[str, Name], trail: list, names: tuple[Name, ...]) -> None:
+    """Bring ``names`` into ``scope``, saving the entries they shadow."""
+    for n in names:
+        trail.append((n.ident, scope.get(n.ident)))
+        scope[n.ident] = n
+
+
 class _Parser:
     def __init__(self, text: str, toks: list, offsets: list[int]):
         self.text = text
@@ -130,15 +137,25 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def parse_process(self, env: dict[str, Name]) -> Process:
-        """A process, parsed in a loop.  ``opened`` keeps, for each '(',
-        '!' or 'new' whose process is being read, the '|' chain around it,
-        that chain's scope, the prefixes that guard it and its token."""
+        """A process, parsed in a loop, in the scope ``env``.
+
+        One scope dict maps each identifier in scope to its name.  A
+        receive or ``new`` saves the outer entries it shadows on a trail,
+        and each '|' chain keeps the trail's length at its start: the
+        scope is rolled back to that mark before each term of the chain.
+        ``opened`` keeps, for each '(', '!' or 'new' whose process is
+        being read, the '|' chain around it, that chain's mark, the
+        prefixes that guard it and its token."""
+        scope = dict(env)
+        trail: list = []
+        mark = 0
         opened: list = []
         left = None
         while True:
             # A term: a run of prefixes, then '0' or an opening.
+            if len(trail) > mark:
+                _rollback(scope, trail, mark)
             prefixes = []
-            scope = env
             while True:
                 t = self.peek()
                 if t is None:
@@ -146,9 +163,8 @@ class _Parser:
                 # 'in' is taken for a subject, to fail as an identifier
                 if not (t == "[" or t != "new" and (t[0].isalpha() or t[0] == "#")):
                     break
-                prefix, scope = self.parse_prefix(scope)
+                prefixes.append(self.parse_prefix(scope, trail))
                 self.take(".")
-                prefixes.append(prefix)
             if t not in ("0", "(", "!", "new"):
                 self.fail("a process")
             self.i += 1
@@ -157,10 +173,9 @@ class _Parser:
                 if t == "new":
                     channels = tuple(Name(CHAN, i) for i in self.take_idents())
                     self.take("in")
-                    scope = dict(scope)
-                    scope.update((n.ident, n) for n in channels)
-                opened.append((left, env, prefixes, t, channels))
-                left, env = None, scope
+                    _bind(scope, trail, channels)
+                opened.append((left, mark, prefixes, t, channels))
+                left, mark = None, len(trail)
                 continue
             p = NIL
             while True:
@@ -174,7 +189,7 @@ class _Parser:
                     return left
                 # The innermost opened process ends here.
                 p = left
-                left, env, prefixes, t, channels = opened.pop()
+                left, mark, prefixes, t, channels = opened.pop()
                 if t == "(":
                     self.take(")")
                 elif t == "!":
@@ -182,23 +197,25 @@ class _Parser:
                 else:
                     p = Restrict(channels, p)
 
-    def parse_prefix(self, env: dict[str, Name]) -> tuple[Prefix, dict[str, Name]]:
+    def parse_prefix(self, scope: dict[str, Name], trail: list) -> Prefix:
+        """A prefix; a receive binds its binders in ``scope``, saving the
+        outer entries on ``trail``."""
         guards = []
         while self.peek() == "[":
             self.take()
-            a = self._resolve(self.take_ident(), env)
+            a = self._resolve(self.take_ident(), scope)
             self.take("=")
-            b = self._resolve(self.take_ident(), env)
+            b = self._resolve(self.take_ident(), scope)
             self.take("]")
             guards.append((a, b))
-        subject = self._resolve(self.take_ident(), env)
+        subject = self._resolve(self.take_ident(), scope)
         t = self.peek()
         if t == "!":
             self.take()
             self.take("<")
-            objs = [self._resolve(i, env) for i in self.take_idents()]
+            objs = [self._resolve(i, scope) for i in self.take_idents()]
             self.take(">")
-            return wrap_matches(guards, Send(subject, tuple(objs))), env
+            return wrap_matches(guards, Send(subject, tuple(objs)))
         if t == "?":
             self.take()
             self.take("(")
@@ -206,9 +223,8 @@ class _Parser:
             self.take(")")
             if len(set(binders)) != len(binders):
                 self.fail("pairwise distinct receive binders")
-            env = dict(env)
-            env.update((n.ident, n) for n in binders)
-            return wrap_matches(guards, Receive(subject, binders)), env
+            _bind(scope, trail, binders)
+            return wrap_matches(guards, Receive(subject, binders))
         self.fail("'!' or '?'")
 
     @staticmethod

@@ -61,7 +61,10 @@ class ReservedNameError(CpiError):
 # Every term is built through these constructors, so each one is written
 # out in full: a hit is one table lookup and one call of the weak
 # reference; a miss checks the fields, sets the slots and registers a
-# ``_Ref`` whose callback drops the entry when the node dies.
+# ``_Ref`` whose callback drops the entry when the node dies.  The
+# actions of the transition system (``lts.OutAct`` and the rest) are
+# interned through the same table in the same way, and keep their sort
+# key in a slot.
 
 _nodes: dict = {}
 _remember = object.__setattr__
@@ -345,6 +348,9 @@ def wrap_matches(guards: Iterable[tuple[Name, Name]], core: Prefix) -> Prefix:
 # its length at a '|' before the right is walked.  A walk that builds a
 # term pushes one-hole contexts on the way down and fills them on the way
 # up (_fill): a prefix, for ``prefix.hole``, or one of these tuples.
+# canonicalize's walk (_renumber) fills its own contexts in the same
+# loop, each keeping the node it came from, so that a node whose parts
+# come back unchanged is reused.
 _RIGHT = 0      # (_RIGHT, right, mark): the right of a '|', still to walk
 _PAR_L = 1      # (_PAR_L, left): Par(left, hole)
 _PAR_R = 2      # (_PAR_R, right): Par(hole, right)
@@ -642,8 +648,19 @@ def _renumber(t: Process, avoid: set[str]) -> tuple[Process, set[Name], int]:
     """One renaming pass of :func:`canonicalize`: the copy of ``t`` whose
     binders are numbered in traversal order, skipping ``avoid``, the free
     names met, and the count of numbers used.  ``env`` maps each binder
-    in scope to its number; each name costs one ``env.get``, which both
-    renames it and tells whether it is free."""
+    in scope to its number and each free name met to itself, so a name
+    costs one ``env.get``, which renames it, and only the first
+    occurrence of a free name is noted.  (A binder's scope saves and
+    restores a free name's entry like any other.)
+
+    Each context on ``todo`` keeps the node it came from: a prefixed
+    node or a '!' itself, or ``(node, part)`` with the copy of the part
+    beside the hole (the left of a '|', the one channel of a
+    restriction) or, for a '|' whose right is still to walk, the trail
+    mark to roll back to.  A renamed prefix is pushed alone.  A node
+    whose parts come back as the very objects it holds is its own copy,
+    with no table lookup, so an already canonical term is rebuilt
+    nowhere.  Every node is still visited."""
     counter = itertools.count()
     numbers = _idents("#", avoid, counter)
     free: set[Name] = set()
@@ -653,27 +670,30 @@ def _renumber(t: Process, avoid: set[str]) -> tuple[Process, set[Name], int]:
     while True:
         kind = type(t)
         if kind is Prefixed:
-            core = t.prefix
+            pre = core = t.prefix
             guards = None
             while type(core) is Match:
                 a, b = core.lhs, core.rhs
                 a2 = env.get(a)
                 if a2 is None:
                     free.add(a)
-                    a2 = a
+                    env[a] = a2 = a
                 b2 = env.get(b)
                 if b2 is None:
                     free.add(b)
-                    b2 = b
+                    env[b] = b2 = b
                 if guards is None:
-                    guards = []
+                    guards, renamed = [], False
                 guards.append((a2, b2))
+                if a2 is not a or b2 is not b:
+                    renamed = True
                 core = core.inner
+            inner = core
             s = core.subject
             s2 = env.get(s)
             if s2 is None:
                 free.add(s)
-                s2 = s
+                env[s] = s2 = s
             kind = type(core)
             if kind is Send:
                 objs = []
@@ -681,41 +701,76 @@ def _renumber(t: Process, avoid: set[str]) -> tuple[Process, set[Name], int]:
                     o2 = env.get(o)
                     if o2 is None:
                         free.add(o)
-                        o2 = o
+                        env[o] = o2 = o
                     objs.append(o2)
-                core = Send(s2, tuple(objs))
+                objs = tuple(objs)
+                if s2 is not s or objs != core.objects:
+                    core = Send(s2, objs)
             elif kind is Receive:
                 bs = []
                 for b in core.binders:
                     trail.append((b, env.get(b)))
                     env[b] = nb = Name(VAR, next(numbers))
                     bs.append(nb)
-                core = Receive(s2, tuple(bs))
+                bs = tuple(bs)
+                if s2 is not s or bs != core.binders:
+                    core = Receive(s2, bs)
             else:
                 raise TypeError(core)
             if guards is not None:
-                core = wrap_matches(guards, core)
-            todo.append(core)
+                core = (wrap_matches(guards, core)
+                        if renamed or core is not inner else pre)
+            todo.append(t if core is pre else core)
             t = t.continuation
-        elif kind is Par:
-            todo.append((_RIGHT, t.right, len(trail)))
+            continue
+        if kind is Par:
+            todo.append((t, len(trail)))
             t = t.left
-        elif kind is Restrict:
+            continue
+        if kind is Restrict:
             # one restriction per channel
             for k in t.channels:
                 trail.append((k, env.get(k)))
                 env[k] = nk = Name(CHAN, next(numbers))
-                todo.append((_NEW, (nk,)))
+                todo.append((t, (nk,)))
             t = t.body
-        elif kind is Repl:
-            todo.append(_REPL)
+            continue
+        if kind is Repl:
+            todo.append(t)
             t = t.body
-        elif kind is Nil:
-            t, out = _fill(todo, t, env, trail)
-            if t is None:
-                return out, free, next(counter)
-        else:
+            continue
+        if kind is not Nil:
             raise TypeError(t)
+        # Fill the contexts with ``out``, last first, up to a '|' whose
+        # right is still to walk.
+        out = t
+        while todo:
+            node = todo.pop()
+            kind = type(node)
+            if kind is Prefixed:
+                if out is not node.continuation:
+                    node = Prefixed(node.prefix, out)
+            elif kind is tuple:
+                node, part = node
+                if type(part) is int:
+                    if len(trail) > part:
+                        _rollback(env, trail, part)
+                    todo.append((node, out))
+                    t = node.right
+                    break
+                if type(node) is Par:
+                    if part is not node.left or out is not node.right:
+                        node = Par(part, out)
+                elif out is not node.body or part != node.channels:
+                    node = Restrict(part, out)
+            elif kind is Repl:
+                if out is not node.body:
+                    node = Repl(out)
+            else:
+                node = Prefixed(node, out)
+            out = node
+        else:
+            return out, free, next(counter)
 
 
 def alpha_equivalent(p: Process, q: Process) -> bool:

@@ -3,11 +3,14 @@ more parse, render, validate, encode and step, from Python and from the
 CLI, and give the answers that the recursive walks gave under a raised
 recursion limit (pinned by sha256)."""
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import cpi
 from cpi import parser
 from cpi.cli import main
 from cpi.encoding import encode, encode_with_handlers
@@ -115,3 +118,91 @@ def test_walks_do_not_recurse(shape, shallow):
     shallow(encode_with_handlers, p)
     shallow(successors, p)
     shallow(successors, p, include_inputs=False)
+
+
+# ---------------------------------------------------------------------------
+# The functions that call themselves
+
+
+def _call_graph():
+    """Each function and method of ``cpi``, by ``module.qualname``, and
+    the functions it calls that a name resolves to: a bare name to a
+    function of an enclosing scope, of the module or imported from
+    another module of the package; ``self.m`` or ``cls.m`` to a method
+    of the enclosing class; a class to its ``__new__`` and ``__init__``.
+    Calls through any other object are not followed."""
+    defs: dict = {}
+    for path in sorted(Path(cpi.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = path.stem
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        todo = [(tree, module, None)]
+        while todo:
+            scope, prefix, cls = todo.pop()
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, ast.ClassDef):
+                    todo.append((node, f"{prefix}.{node.name}", f"{prefix}.{node.name}"))
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = f"{prefix}.{node.name}"
+                    defs[name] = (node, prefix, cls, imported)
+                    todo.append((node, name, None))
+                else:
+                    todo.append((node, prefix, cls))
+    calls: dict = {}
+    for name, (node, outer, cls, imported) in defs.items():
+        found = set()
+        todo = list(ast.iter_child_nodes(node))
+        while todo:
+            n = todo.pop()
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            todo.extend(ast.iter_child_nodes(n))
+            if not isinstance(n, ast.Call):
+                continue
+            f = n.func
+            if isinstance(f, ast.Name):
+                scopes = [name]
+                while "." in scopes[-1]:
+                    scopes.append(scopes[-1].rsplit(".", 1)[0])
+                targets = [f"{s}.{f.id}" for s in scopes]
+                if f.id in imported:
+                    targets.append(imported[f.id])
+            elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                  and f.value.id in ("self", "cls") and cls is not None):
+                targets = [f"{cls}.{f.attr}"]
+            else:
+                continue
+            for t in targets:
+                hits = [t] if t in defs else [
+                    f"{t}.{m}" for m in ("__new__", "__init__") if f"{t}.{m}" in defs]
+                if hits:
+                    found.update(hits)
+                    break
+        calls[name] = found
+    return calls
+
+
+def test_only_the_game_and_the_generator_recurse():
+    # every walk along a term runs on an explicit stack; the bisimulation
+    # game recurses once per round and the random generator once per unit
+    # of its size, directly or through other functions of the package
+    calls = _call_graph()
+    assert len(calls) > 150 and "syntax._renumber" in calls
+
+    def reaches_itself(f):
+        seen, todo = set(), list(calls[f])
+        while todo:
+            g = todo.pop()
+            if g == f:
+                return True
+            if g not in seen:
+                seen.add(g)
+                todo.extend(calls.get(g, ()))
+        return False
+
+    recursive = sorted(f for f in calls if reaches_itself(f))
+    assert recursive == ["bisim._Game.play", "gen._random_process"]

@@ -1,11 +1,18 @@
 """Transition engine: per-rule behavior, traces, tau reachability, and
 agreement with the independent rule-schema oracle."""
 
+import copy
+import dataclasses
+import gc
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 
 from naive_lts import naive_step_set, normalize
+from rough_terms import rough_process
+from cpi import syntax
 from cpi.encoding import encode_with_handlers
 from cpi.gen import random_cpi_process, random_pi_process
 from cpi.lts import (
@@ -14,7 +21,7 @@ from cpi.lts import (
 )
 from cpi.parser import PI, parse, render
 from cpi.syntax import (
-    NIL, Par, Prefixed, Receive, Repl, Restrict, Send, SortError,
+    NIL, Name, Par, Prefixed, Receive, Repl, Restrict, Send, SortError,
     canonicalize, chan, free_names, par, var,
 )
 
@@ -410,3 +417,125 @@ def test_successors_sorted_by_action_then_rendered_target():
         seen["taus"] += actions.count(TAU) > 1
         seen["tied"] += len(set(actions)) < len(actions)
     assert min(seen.values()) >= 40, seen
+
+
+# ---------------------------------------------------------------------------
+# Interned actions against the frozen dataclasses they replaced, kept here
+# as the reference: field-by-field equality and the sort key of a match.
+
+
+def _old_bound_out_check(self):
+    if not self.bound:
+        raise ValueError("bound output needs a bound object")
+    if not set(self.bound) <= set(self.objects):
+        raise ValueError("bound names must be among the objects")
+    if self.subject in self.bound:
+        raise ValueError("bound output subject cannot be bound")
+
+
+_MESSAGE = [("subject", Name), ("objects", tuple)]
+OldOut = dataclasses.make_dataclass("OutAct", _MESSAGE, frozen=True)
+OldIn = dataclasses.make_dataclass("InAct", _MESSAGE, frozen=True)
+OldBoundOut = dataclasses.make_dataclass(
+    "BoundOutAct", _MESSAGE + [("bound", tuple)], frozen=True,
+    namespace={"__post_init__": _old_bound_out_check})
+OldTau = dataclasses.make_dataclass("TauAct", [], frozen=True)
+OLD = {OutAct: OldOut, InAct: OldIn, BoundOutAct: OldBoundOut, TauAct: OldTau}
+
+
+def _old_copy(a):
+    return OLD[type(a)](*(getattr(a, f) for f in a.__match_args__))
+
+
+def _old_key(a):
+    match a:
+        case OldTau():
+            return (0, "", (), ())
+        case OldOut(subject=s, objects=objs):
+            return (1, s.ident, tuple(o.ident for o in objs), ())
+        case OldBoundOut(subject=s, objects=objs, bound=bound):
+            return (2, s.ident, tuple(o.ident for o in objs),
+                    tuple(b.ident for b in bound))
+        case OldIn(subject=s, objects=objs):
+            return (3, s.ident, tuple(o.ident for o in objs), ())
+    raise TypeError(a)
+
+
+def _corpus_and_seeded_actions():
+    """Every action of successors (with and without inputs) and of
+    Engine.labels on the corpus scripts and 2,000 seeded terms, half of
+    them polyadic rough terms."""
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    states = [parse(f.read_text(), mode=PI) for f in sorted(corpus.glob("*/*.cpi"))]
+    rng = random.Random(2121)
+    for i in range(2000):
+        if i % 2:
+            states.append(rough_process(rng, rng.randint(2, 10)))
+        else:
+            gen = random_pi_process if i % 4 else random_cpi_process
+            states.append(gen(rng, rng.randint(1, 12), repl_weight=0.05))
+    for i, p in enumerate(states):
+        engine = Engine()
+        extra = EXTRAS[i % len(EXTRAS)]
+        try:
+            trans = (engine.successors(p, extra)
+                     + engine.successors(p, include_inputs=False))
+            labels = engine.labels(p, extra)
+        except SortError:
+            continue
+        yield from (tr.action for tr in trans)
+        yield from labels
+
+
+def test_actions_keep_the_dataclass_semantics():
+    actions = {}
+    for a in _corpus_and_seeded_actions():
+        actions[id(a)] = a
+    actions = list(actions.values())
+    copies = [_old_copy(a) for a in actions]
+    # equal exactly when the copies are equal: distinct actions have
+    # distinct copies, and an action rebuilt from its fields is itself
+    assert len(set(copies)) == len(actions)
+    for a, old in zip(actions, copies):
+        assert type(a)(*(getattr(a, f) for f in a.__match_args__)) is a
+        assert repr(a) == repr(old)
+        assert _action_sort_key(a) == _old_key(old)
+        assert pickle.loads(pickle.dumps(a)) is a
+        assert copy.copy(a) is a and copy.deepcopy(a) is a
+        with pytest.raises(AttributeError):
+            a.subject = chan("a")
+    kinds = {t: sum(type(a) is t for a in actions) for t in OLD}
+    assert kinds[TauAct] == 1 and min(kinds.values()) >= 1, kinds
+    assert len(actions) >= 300 and kinds[BoundOutAct] >= 10, kinds
+
+
+@pytest.mark.parametrize("fields", [
+    (chan("k"), (chan("l"),), ()),
+    (chan("k"), (chan("l"),), (chan("m"),)),
+    (chan("k"), (chan("k"), chan("l")), (chan("k"),)),
+    (chan("k"), (chan("l"),), (chan("l"), chan("m"))),
+], ids=["no-bound", "bound-not-object", "subject-bound", "one-not-object"])
+def test_bound_output_raises_as_before(fields):
+    gc.collect()
+    before = len(syntax._nodes)
+    with pytest.raises(ValueError) as old:
+        OldBoundOut(*fields)
+    for _ in range(2):
+        with pytest.raises(ValueError) as new:
+            BoundOutAct(*fields)
+        assert str(new.value) == str(old.value)
+    assert len(syntax._nodes) == before
+
+
+def test_unreferenced_actions_leave_the_intern_table():
+    gc.collect()
+    before = len(syntax._nodes)
+    a, l = chan("zq_act_a"), chan("zq_act_l")
+    acts = [OutAct(a, (l,)), InAct(a, (l,)), BoundOutAct(a, (l,), (l,))]
+    assert OutAct(a, (l,)) is acts[0] and acts[0] != acts[1]
+    assert len(syntax._nodes) == before + 5
+    del acts
+    assert len(syntax._nodes) == before + 2
+    del a, l
+    gc.collect()
+    assert len(syntax._nodes) == before

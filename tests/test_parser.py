@@ -1,17 +1,20 @@
 """Surface syntax: parsing, precedence, errors, printing."""
 
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 from rough_terms import rough_process
+from cpi import parser
 from cpi.encoding import SourceModeError, encode, encode_with_handlers
 from cpi.gen import random_pi_process
 from cpi.parser import CpiSyntaxError, PI, parse, render
 from cpi.syntax import (
     NIL, CpiViolation, Match, Nil, Par, Prefixed, Receive, Repl, Restrict,
     Send, SortError, alpha_equivalent, canonicalize, chan, par, prefix_chain,
+    var,
 )
 
 CORPUS_SCRIPTS = sorted(
@@ -76,6 +79,71 @@ def test_comments_and_whitespace():
 def test_receive_binder_shadowing():
     p = parse("a?(x).x!<b>.a?(x).x!<c>.0", mode=PI)
     assert render(canonicalize(p)) == "a?(#0).#0!<b>.a?(#1).#1!<c>.0"
+
+
+def _scope_cases():
+    a, b, k = chan("a"), chan("b"), chan("k")
+    x, y, xc, yc = var("x"), var("y"), chan("x"), chan("y")
+
+    def send(s, o, cont=NIL):
+        return Prefixed(Send(s, (o,)), cont)
+
+    def recv(s, v, cont=NIL):
+        return Prefixed(Receive(s, (v,)), cont)
+
+    return [
+        # a receive's scope ends with the '(' around it, not at its '|'
+        ("a?(x).(x!<a>.0 | x!<a>.0) | x!<a>.0",
+         Par(recv(a, x, Par(send(x, a), send(x, a))), send(xc, a))),
+        ("(a?(x).0) | x!<a>.0", Par(recv(a, x), send(xc, a))),
+        # an inner binder shadows only in its own component
+        ("a?(x).(a?(x).0 | x!<b>.0)",
+         recv(a, x, Par(recv(a, x), send(x, b)))),
+        ("a?(x).a?(y).(y!<x>.0 | b?(x).x!<y>.0) | y!<x>.0",
+         Par(recv(a, x, recv(a, y, Par(send(y, x), recv(b, x, send(x, y))))),
+             send(yc, xc))),
+        # 'new' and '!' extend to the right, over every '|'
+        ("new x in a?(x).x!<b>.0 | x!<b>.0",
+         Restrict((xc,), Par(recv(a, x, send(x, b)), send(xc, b)))),
+        ("!a?(x).x!<a>.0 | x!<a>.0",
+         Repl(Par(recv(a, x, send(x, a)), send(xc, a)))),
+        ("(new k in k!<a>.0 | a?(k).0) | k!<a>.0",
+         Par(Restrict((k,), Par(send(k, a), recv(a, var("k")))), send(k, a))),
+        ("a?(x).(new x in x!<a>.0) | (x!<a>.0 | b?(y).0) | y!<x>.0",
+         Par(Par(recv(a, x, Restrict((xc,), send(xc, a))),
+                 Par(send(xc, a), recv(b, y))),
+             send(yc, xc))),
+    ]
+
+
+@pytest.mark.parametrize("text, tree", _scope_cases())
+def test_scopes_end_where_their_process_ends(text, tree):
+    assert parser._Parser(text, *parser._tokenize(text, False)).parse_process({}) is tree
+    assert parse(text, mode=PI) is canonicalize(tree)
+
+
+def _receive_chain(n):
+    return "".join(f"a?(x{i})." for i in range(n)) + "0"
+
+
+def _parse_time(text):
+    best = float("inf")
+    for _ in range(3):
+        start = time.process_time()
+        parse(text, mode=PI)
+        best = min(best, time.process_time() - start)
+    return best
+
+
+def test_receive_chain_parses_in_linear_time():
+    # one scope dict and a trail: a receive does not copy the scope
+    p = parse(_receive_chain(20000), mode=PI)
+    text = render(p)
+    assert text == "".join(f"a?(#{i})." for i in range(20000)) + "0"
+    assert parse(text, mode=PI, allow_reserved=True) is p
+    # a quadratic parse takes about 16 times as long at 4 times the size
+    ratio = _parse_time(_receive_chain(16000)) / _parse_time(_receive_chain(4000))
+    assert ratio < 8, ratio
 
 
 @pytest.mark.parametrize("text", ["a!<>", "a!<b>", "new in 0", "a?(x", "(0", "0 0"])

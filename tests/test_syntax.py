@@ -21,7 +21,7 @@ from cpi.encoding import SourceModeError, encode
 from cpi.gen import random_cpi_process, random_pi_process
 from cpi.parser import PI, parse, render
 from cpi.syntax import (
-    Match, NIL, Name, Par, Prefixed, Receive, Repl, Restrict, Send,
+    Match, NIL, Name, Nil, Par, Prefixed, Receive, Repl, Restrict, Send,
     SubstitutionDomainError, ValidationReport, Violation, _renumber,
     alpha_equivalent, bound_names, canonicalize, chan, fnn, free_names,
     free_output_objects, par, prefix_chain, substitute, validate_cpi, var,
@@ -224,6 +224,79 @@ def test_canonical_form_is_its_own_canonical_form():
         p = random_pi_process(rng, rng.randint(1, 12), repl_weight=0.1)
         cp = canonicalize(p)
         assert _renumber(cp, {n.ident for n in free_names(cp)})[0] is cp
+
+
+# The constructors of the nodes a renaming may rebuild (names aside).
+_BUILDERS = {cls.__new__.__code__
+             for cls in (Match, Send, Receive, Prefixed, Par, Restrict, Repl)}
+
+
+def test_canonical_walk_rebuilds_no_canonical_term():
+    # every node of a canonical form comes back as itself: the walk calls
+    # no constructor and the intern table does not grow
+    built = []
+
+    def note(frame, event, arg):
+        if event == "call" and frame.f_code in _BUILDERS:
+            built.append(frame.f_code.co_qualname)
+
+    walked = 0
+    for p in itertools.islice(_canonicalize_cases(), 1500):
+        c = canonicalize(p)
+        avoid = {n.ident for n in free_names(c)}
+        # no collection may free a node meanwhile
+        gc.disable()
+        before = len(syntax._nodes)
+        sys.setprofile(note)
+        try:
+            same = _renumber(c, avoid)[0] is c
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        assert same and not built, (render(c), built)
+        assert len(syntax._nodes) == before, render(c)
+        walked += type(c) is not Nil
+    assert walked >= 1000
+
+
+def test_canonical_walk_rebuilds_what_it_renames():
+    # a node is its own copy only when every part comes back unchanged;
+    # in each case one part is renamed and the others are not
+    h0, h1, k0, k1 = var("#0"), var("#1"), chan("#0"), chan("#1")
+    send = Send(a, (b,))
+
+    def recv(v, cont=NIL):
+        return Prefixed(Receive(c, (v,)), cont)
+
+    cases = [
+        # an unchanged prefix over a renamed continuation
+        (Prefixed(send, recv(x)), Prefixed(send, recv(h0))),
+        (Prefixed(Match(a, b, send), recv(x)),
+         Prefixed(Match(a, b, send), recv(h0))),
+        (Restrict((k0,), recv(x)), Restrict((k0,), recv(h1))),
+        (Repl(recv(x)), Repl(recv(h0))),
+        (Par(recv(x), NIL), Par(recv(h0), NIL)),
+        (Par(NIL, recv(x)), Par(NIL, recv(h0))),
+        (Par(recv(h0), recv(x)), Par(recv(h0), recv(h1))),
+        # a renumbered binder over an unchanged continuation
+        (recv(x), recv(h0)),
+        (recv(h1), recv(h0)),
+        (Restrict((a,), NIL), Restrict((k0,), NIL)),
+        (Restrict((k1,), NIL), Restrict((k0,), NIL)),
+        (Restrict((k1, k0), NIL), Restrict((k0,), Restrict((k1,), NIL))),
+        (Restrict((k0, k1), NIL), Restrict((k0,), Restrict((k1,), NIL))),
+        (Prefixed(Match(a, a, Receive(c, (x,))), NIL),
+         Prefixed(Match(a, a, Receive(c, (h0,))), NIL)),
+        # a renamed guard or object under an unchanged core or subject
+        (recv(x, Prefixed(Match(x, a, send), NIL)),
+         recv(h0, Prefixed(Match(h0, a, send), NIL))),
+        (recv(x, Prefixed(Send(a, (x,)), NIL)),
+         recv(h0, Prefixed(Send(a, (h0,)), NIL))),
+        (recv(x, Prefixed(Send(x, (a,)), NIL)),
+         recv(h0, Prefixed(Send(h0, (a,)), NIL))),
+    ]
+    for p, want in cases:
+        assert _renumber(p, set())[0] is want, render(p)
 
 
 def test_canonicalize_skips_free_reserved_idents():

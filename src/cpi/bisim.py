@@ -60,7 +60,7 @@ def _normal_label(a: Action,
     """``a`` with its bound-output names renamed to a deterministic
     reserved sequence computed from ``avoid_idents``, and that renaming
     (None when ``a`` binds nothing)."""
-    if not isinstance(a, BoundOutAct):
+    if type(a) is not BoundOutAct:
         return a, None
     fresh = fresh_names(CHAN, "b", avoid_idents, len(a.bound))
     m = dict(zip(a.bound, fresh))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bisim import Verdict, check
-from .lts import Engine, TauAct, successors, tau_levels
+from .lts import TAU, Engine, successors, tau_levels
 from .parser import render
 from .syntax import (
     _NEW, _PAR_R, _REPL, _RIGHT, CpiError, Name, NIL, Nil, Par, Prefixed,
@@ -172,7 +172,7 @@ def source_reductions(p: Process) -> tuple[Process, ...]:
     if free_names(p):
         raise SourceModeError("reduction analysis needs a closed source term")
     return tuple(tr.target for tr in successors(p, include_inputs=False)
-                 if isinstance(tr.action, TauAct))
+                 if tr.action is TAU)
 
 
 @dataclass(frozen=True)

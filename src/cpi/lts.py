@@ -15,6 +15,17 @@ whether inputs are asked for or not.
 Actions are interned like terms, through the same table: equal actions
 are the same object, compared and hashed by identity, and each keeps its
 sort key.
+
+The rules are the early rules of Sangiorgi & Walker (*The pi-calculus*,
+2001), applied to canonical states only.  Three shortcuts skip work that
+can yield no transition, each exact (see :class:`Engine`):
+
+- a nest of restrictions is one rule step: its body is derived once and
+  each move passes the nest by open, res or drop level by level;
+- an output asks its partner for inputs only when the partner has a
+  receive on its subject ready, since no other partner derives one;
+- a bound output is never renamed apart from its sibling, since in a
+  canonical state no binder is free anywhere.
 """
 
 from __future__ import annotations
@@ -29,7 +40,6 @@ from .syntax import (
     CHAN, CpiError, Name, Par, Prefixed, Process, Receive, Repl, Restrict,
     Send, SortError, _MISSING, _Node, _keep, _nodes, _remember,
     canonicalize, free_names, fresh_names, prefix_chain, substitute,
-    substitute_free,
 )
 
 
@@ -119,11 +129,11 @@ TAU = TauAct()
 
 
 def action_bound(a: Action) -> frozenset[Name]:
-    return frozenset(a.bound) if isinstance(a, BoundOutAct) else frozenset()
+    return frozenset(a.bound) if type(a) is BoundOutAct else frozenset()
 
 
 def action_names(a: Action) -> frozenset[Name]:
-    if isinstance(a, TauAct):
+    if a is TAU:
         return frozenset()
     return frozenset((a.subject,) + a.objects)
 
@@ -196,19 +206,48 @@ def _guards_pass(guards: list[tuple[Name, Name]]) -> bool:
     return all(a == b for a, b in guards)
 
 
-def _rename_bound_away(a: BoundOutAct, target: Process,
-                       avoid: frozenset[Name]) -> tuple[BoundOutAct, Process]:
-    clash = [b for b in a.bound if b in avoid]
-    if not clash:
-        return a, target
-    avoid_idents = ({n.ident for n in avoid}
-                    | {n.ident for n in action_names(a)}
-                    | {n.ident for n in free_names(target)})
-    fresh = fresh_names(CHAN, "o", avoid_idents, len(clash))
-    m = dict(zip(clash, fresh))
-    objs = tuple(m.get(o, o) for o in a.objects)
-    bound = tuple(m.get(b, b) for b in a.bound)
-    return BoundOutAct(a.subject, objs, bound), substitute_free(target, m)
+def _nest(p: Restrict) -> tuple[tuple[Name, ...], Process]:
+    """The channels of the chain of restrictions that starts at ``p``,
+    outermost first, and the body below the last of them."""
+    ks, body = p.channels, p.body
+    if type(body) is not Restrict:
+        return ks, body
+    ks = list(ks)
+    while type(body) is Restrict:
+        ks += body.channels
+        body = body.body
+    return tuple(ks), body
+
+
+def _through_nest(a: Action, t: Process, ks: tuple[Name, ...]):
+    """The move ``(a, t)`` of a nest's body taken through the nest's
+    channels ``ks``, innermost first, by open, res or drop at each: the
+    action, the target and the rules it gains, or None once a level
+    drops it.  The target is wrapped once, in the channels res kept."""
+    s, objs = a.subject, a.objects
+    kind = type(a)
+    bound = a.bound if kind is BoundOutAct else ()
+    opened: list[Name] = []
+    kept: list[Name] = []
+    steps: list[str] = []
+    for k in reversed(ks):
+        if k is s:
+            return None
+        if k in objs:
+            if kind is InAct or k in bound or k in opened:
+                return None
+            opened.append(k)
+            steps.append("open")
+        else:
+            kept.append(k)
+            steps.append("res")
+    if opened:
+        bset = set(bound).union(opened)
+        a = BoundOutAct(s, objs, tuple(dict.fromkeys(o for o in objs if o in bset)))
+    if kept:
+        kept.reverse()
+        t = Restrict(tuple(kept), t)
+    return a, t, tuple(steps)
 
 
 class Engine:
@@ -228,6 +267,41 @@ class Engine:
     :meth:`successors` but builds no canonical targets.  The transition
     relation is the same either way, so a bounded answer built on labels
     means what it would mean on full successors.
+
+    The rule engine (``_succ`` and ``_input_on``) sees canonical states
+    and their subterms only, and skips three kinds of work:
+
+    - *A nest of restrictions is one rule step.*  ``new k1 in ... new kn
+      in B`` derives ``B`` once; each move of ``B`` then meets ``kn``
+      first and ``k1`` last, and at each level is opened, kept by res or
+      dropped, exactly as nested single restrictions would do it, with
+      the rules in the same order.  A kept move's target is wrapped
+      once, in the channels res kept, outermost first, and
+      :func:`~cpi.syntax.canonicalize` flattens that into the nested
+      singles the level-by-level rules would have built.  A move whose
+      names miss every channel of the nest (tau always does) passes
+      every level by res.
+    - *Inputs are asked only of ready receivers.*  Each cache entry of
+      ``_succ`` keeps the node's ready subjects, which do not depend on
+      the environment: the subjects of its receives whose guards pass
+      and that no restriction below the node binds.  ``|`` joins its
+      children's, ``new`` removes its channels and ``!`` keeps its
+      body's; they are a tuple, which may repeat a subject, since a
+      singleton tuple is a quarter of the size of a singleton set.
+      comm, close, rep-comm and rep-close call ``_input_on`` only when
+      the output's subject is among the partner's.  Any other subject
+      reaches no receive through the rules ``_input_on`` applies, so
+      the result would be empty; a sort error is raised only on
+      reaching such a receive, so none is lost.
+    - *Bound outputs are not renamed.*  A canonical state obeys the
+      Barendregt convention: its binders are pairwise distinct and none
+      is also free.  So does each of its subterms, on which alone a
+      cache entry depends.  A bound output of one component of a ``|``
+      (or of the body of a ``!``) binds names that ``open`` took from
+      restrictions inside that component, so they are binders of the
+      ``|`` (or ``!``) node, while the names free in the sibling (or
+      the body) are free in that node.  The two never meet, so comm,
+      close and the lifting rules never rename a bound name apart.
     """
 
     __slots__ = ("_succ_cache", "_input_cache", "_trans_cache")
@@ -295,6 +369,7 @@ class Engine:
     # apply the rule in a loop on an explicit stack: a rule that finds a
     # premise it reads missing from the cache pushes it, and the loop
     # derives it first, leftmost first, each after its own premises.
+    # The premise of a nest of restrictions is the body below the last.
 
     def _input_on(self, p: Process, subject: Name, objects: tuple[Name, ...]) -> list:
         """Derivations of the input action ``subject?<objects>`` from ``p``."""
@@ -328,14 +403,15 @@ class Engine:
                 for t2, rl in rs:
                     out.append((Par(l, t2), rl + ("par-r",)))
             elif kind is Restrict:
-                ks = t.channels
+                ks, body = _nest(t)
                 if subject not in ks and not any(o in ks for o in objects):
-                    inner = cache.get((t.body, subject, objects))
+                    inner = cache.get((body, subject, objects))
                     if inner is None:
-                        todo.append(t.body)
+                        todo.append(body)
                         continue
+                    res = ("res",) * len(ks)
                     for t2, rl in inner:
-                        out.append((Restrict(ks, t2), rl + ("res",)))
+                        out.append((Restrict(ks, t2), rl + res))
             elif kind is Repl:
                 inner = cache.get((t.body, subject, objects))
                 if inner is None:
@@ -349,14 +425,17 @@ class Engine:
         return out
 
     def _succ(self, p: Process, env: frozenset[Name]) -> list:
+        # A cache entry is (derivations, ready subjects); see the class
+        # docstring for the ready subjects.
         cache = self._succ_cache
         hit = cache.get((p, env))
         if hit is not None:
-            return hit
+            return hit[0]
         todo = [p]
         while todo:
             p = todo[-1]
             out: list[tuple[Action, Process, tuple[str, ...]]] = []
+            ready: tuple[Name, ...] = ()
             kind = type(p)
             if kind is Prefixed:
                 cont = p.continuation
@@ -367,96 +446,95 @@ class Engine:
                         if core.subject.is_channel and all(o.is_channel for o in core.objects):
                             out.append((OutAct(core.subject, core.objects), cont,
                                         rules + ("out",)))
-                    elif core.subject in env and core.subject.is_channel:
-                        # Exact, not a heuristic.  A free-input move only
-                        # travels upward: par-l/par-r, rep-act and res lift
-                        # it with its subject unchanged, and no rule
-                        # consumes one (comm and close derive their inputs
-                        # with _input_on).  env holds the top state's free
-                        # channels, so a subject outside env is bound by a
-                        # restriction on the way up, and res drops the move.
-                        cands = _input_candidates(env, len(core.binders))
-                        for tup in itertools.product(*cands):
-                            target = substitute(cont, dict(zip(core.binders, tup)))
-                            out.append((InAct(core.subject, tup), target,
-                                        rules + ("in",)))
+                    else:
+                        ready = (core.subject,)
+                        if core.subject in env and core.subject.is_channel:
+                            # Exact, not a heuristic.  A free-input move only
+                            # travels upward: par-l/par-r, rep-act and res lift
+                            # it with its subject unchanged, and no rule
+                            # consumes one (comm and close derive their inputs
+                            # with _input_on).  env holds the top state's free
+                            # channels, so a subject outside env is bound by a
+                            # restriction on the way up, and res drops the move.
+                            cands = _input_candidates(env, len(core.binders))
+                            for tup in itertools.product(*cands):
+                                target = substitute(cont, dict(zip(core.binders, tup)))
+                                out.append((InAct(core.subject, tup), target,
+                                            rules + ("in",)))
             elif kind is Par:
                 l, r = p.left, p.right
-                ls = cache.get((l, env))
-                rs = cache.get((r, env))
-                if ls is None or rs is None:
-                    todo += [q for q, d in ((r, rs), (l, ls)) if d is None]
+                lhit = cache.get((l, env))
+                rhit = cache.get((r, env))
+                if lhit is None or rhit is None:
+                    todo += [q for q, d in ((r, rhit), (l, lhit)) if d is None]
                     continue
-                # free_names is memoised per node and read only by a
-                # bound output, so a state without one never computes it.
+                ls, lready = lhit
+                rs, rready = rhit
                 for a, t, rl in ls:
-                    if isinstance(a, BoundOutAct):
-                        a, t = _rename_bound_away(a, t, free_names(r))
                     out.append((a, Par(t, r), rl + ("par-l",)))
                 for a, t, rl in rs:
-                    if isinstance(a, BoundOutAct):
-                        a, t = _rename_bound_away(a, t, free_names(l))
                     out.append((a, Par(l, t), rl + ("par-r",)))
-                for a, t, rl in ls:
-                    if isinstance(a, OutAct):
-                        for t2, rl2 in self._input_on(r, a.subject, a.objects):
-                            out.append((TAU, Par(t, t2), rl + rl2 + ("comm-l",)))
-                    elif isinstance(a, BoundOutAct):
-                        a2, t = _rename_bound_away(a, t, free_names(r))
-                        for t2, rl2 in self._input_on(r, a2.subject, a2.objects):
-                            out.append((TAU, Restrict(a2.bound, Par(t, t2)),
-                                        rl + rl2 + ("close-l",)))
-                for a, t, rl in rs:
-                    if isinstance(a, OutAct):
-                        for t2, rl2 in self._input_on(l, a.subject, a.objects):
-                            out.append((TAU, Par(t2, t), rl + rl2 + ("comm-r",)))
-                    elif isinstance(a, BoundOutAct):
-                        a2, t = _rename_bound_away(a, t, free_names(l))
-                        for t2, rl2 in self._input_on(l, a2.subject, a2.objects):
-                            out.append((TAU, Restrict(a2.bound, Par(t2, t)),
-                                        rl + rl2 + ("close-r",)))
+                if rready:
+                    for a, t, rl in ls:
+                        akind = type(a)
+                        if (akind is OutAct or akind is BoundOutAct) and a.subject in rready:
+                            for t2, rl2 in self._input_on(r, a.subject, a.objects):
+                                if akind is OutAct:
+                                    out.append((TAU, Par(t, t2), rl + rl2 + ("comm-l",)))
+                                else:
+                                    out.append((TAU, Restrict(a.bound, Par(t, t2)),
+                                                rl + rl2 + ("close-l",)))
+                if lready:
+                    for a, t, rl in rs:
+                        akind = type(a)
+                        if (akind is OutAct or akind is BoundOutAct) and a.subject in lready:
+                            for t2, rl2 in self._input_on(l, a.subject, a.objects):
+                                if akind is OutAct:
+                                    out.append((TAU, Par(t2, t), rl + rl2 + ("comm-r",)))
+                                else:
+                                    out.append((TAU, Restrict(a.bound, Par(t2, t)),
+                                                rl + rl2 + ("close-r",)))
+                ready = lready + rready
             elif kind is Restrict:
-                # Multi-restriction is definitionally nested singles.
-                k, ks = p.channels[0], p.channels[1:]
-                inner_p = Restrict(ks, p.body) if ks else p.body
-                inner = cache.get((inner_p, env))
-                if inner is None:
-                    todo.append(inner_p)
-                    continue
-                for a, t, rl in inner:
-                    if isinstance(a, OutAct) and k in a.objects and a.subject != k:
-                        out.append((BoundOutAct(a.subject, a.objects, (k,)), t,
-                                    rl + ("open",)))
-                    elif (isinstance(a, BoundOutAct) and k in a.objects
-                          and k not in a.bound and a.subject != k):
-                        bound_set = set(a.bound) | {k}
-                        bound = tuple(o for i, o in enumerate(a.objects)
-                                      if o in bound_set and o not in a.objects[:i])
-                        out.append((BoundOutAct(a.subject, a.objects, bound), t,
-                                    rl + ("open",)))
-                    elif k not in action_names(a):
-                        out.append((a, Restrict((k,), t), rl + ("res",)))
-            elif kind is Repl:
-                body = p.body
-                inner = cache.get((body, env))
-                if inner is None:
+                ks, body = _nest(p)
+                hit = cache.get((body, env))
+                if hit is None:
                     todo.append(body)
                     continue
+                inner, ready = hit
+                kset = frozenset(ks)
+                if ready and not kset.isdisjoint(ready):
+                    ready = tuple(s for s in ready if s not in kset)
+                res = ("res",) * len(ks)
                 for a, t, rl in inner:
-                    if isinstance(a, BoundOutAct):
-                        a, t = _rename_bound_away(a, t, free_names(body))
+                    if a is TAU or (a.subject not in kset and kset.isdisjoint(a.objects)):
+                        out.append((a, Restrict(ks, t), rl + res))
+                        continue
+                    moved = _through_nest(a, t, ks)
+                    if moved is not None:
+                        a, t, steps = moved
+                        out.append((a, t, rl + steps))
+            elif kind is Repl:
+                body = p.body
+                hit = cache.get((body, env))
+                if hit is None:
+                    todo.append(body)
+                    continue
+                inner, ready = hit
+                for a, t, rl in inner:
                     out.append((a, Par(t, p), rl + ("rep-act",)))
-                for a, t, rl in inner:
-                    if isinstance(a, OutAct):
-                        for t2, rl2 in self._input_on(body, a.subject, a.objects):
-                            out.append((TAU, Par(Par(t, t2), p),
-                                        rl + rl2 + ("rep-comm",)))
-                    elif isinstance(a, BoundOutAct):
-                        a2, t = _rename_bound_away(a, t, free_names(body))
-                        for t2, rl2 in self._input_on(body, a2.subject, a2.objects):
-                            out.append((TAU, Par(Restrict(a2.bound, Par(t, t2)), p),
-                                        rl + rl2 + ("rep-close",)))
-            cache[(todo.pop(), env)] = out
+                if ready:
+                    for a, t, rl in inner:
+                        akind = type(a)
+                        if (akind is OutAct or akind is BoundOutAct) and a.subject in ready:
+                            for t2, rl2 in self._input_on(body, a.subject, a.objects):
+                                if akind is OutAct:
+                                    out.append((TAU, Par(Par(t, t2), p),
+                                                rl + rl2 + ("rep-comm",)))
+                                else:
+                                    out.append((TAU, Par(Restrict(a.bound, Par(t, t2)), p),
+                                                rl + rl2 + ("rep-close",)))
+            cache[(todo.pop(), env)] = (out, ready)
             while todo and (todo[-1], env) in cache:
                 todo.pop()  # a premise pushed twice
         return out
@@ -483,12 +561,13 @@ def successors(p: Process, environment: Iterable[Name] = (),
 
 def _labels_match(requested: Action, offered: Action) -> bool:
     """Label equality, with bound-output names compared positionally."""
-    if type(requested) is not type(offered):
+    kind = type(requested)
+    if kind is not type(offered):
         return False
-    if isinstance(requested, TauAct):
+    if kind is TauAct:
         return True
-    if isinstance(requested, (OutAct, InAct)):
-        return requested == offered
+    if kind is OutAct or kind is InAct:
+        return requested is offered
     if requested.subject != offered.subject:
         return False
     if len(requested.objects) != len(offered.objects):
@@ -550,7 +629,7 @@ def tau_levels(p: Process, budget: int, engine: Optional[Engine] = None):
         nxt = []
         for s in frontier:
             for tr in engine.successors(s, include_inputs=False):
-                if isinstance(tr.action, TauAct) and tr.target not in seen:
+                if tr.action is TAU and tr.target not in seen:
                     seen.add(tr.target)
                     nxt.append(tr.target)
         if not nxt:
@@ -569,7 +648,7 @@ def tau_reachable(p: Process, budget: int) -> TauReachable:
     exceeded = False
     if len(levels) == budget + 1:
         for s in levels[-1]:
-            if any(isinstance(tr.action, TauAct) and tr.target not in states
+            if any(tr.action is TAU and tr.target not in states
                    for tr in engine.successors(s, include_inputs=False)):
                 exceeded = True
                 break

@@ -60,9 +60,10 @@ class NFVerdict:
 
 
 def _free_output_objects_of(action: Action) -> frozenset[Name]:
-    if isinstance(action, OutAct):
+    kind = type(action)
+    if kind is OutAct:
         return frozenset(action.objects)
-    if isinstance(action, BoundOutAct):
+    if kind is BoundOutAct:
         return frozenset(action.objects) - action_bound(action)
     return frozenset()
 
@@ -95,11 +96,12 @@ def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
             free = free_names(state)
             watch_map = dict(watched)
             for tr in engine.successors(state):
-                violation = _forwarded(tr.action, watch_map, trace)
-                if violation is not None:
-                    return NFVerdict(False, depth, violation)
+                if watched:  # nothing to forward otherwise
+                    violation = _forwarded(tr.action, watch_map, trace)
+                    if violation is not None:
+                        return NFVerdict(False, depth, violation)
                 new_watch = watched
-                if isinstance(tr.action, InAct):
+                if type(tr.action) is InAct:
                     extra = tuple(
                         (o, len(trace)) for o in tr.action.objects
                         if o.is_channel and o not in free and o not in watch_map)

@@ -28,6 +28,8 @@ SHAPES = {
     "repl-1000": "!" * 1000 + "a!<b>.0",
     "parens-1000": "(" * 1000 + "a!<b>.0" + ")" * 1000,
     "guards-1000": "[a=a]" * 1000 + "a!<b>.0",
+    # One tau under the nest: it passes all 1000 restrictions at once.
+    "new-tau-1000": "new k in " * 1000 + "(k!<k>.0 | k?(x).x!<k>.0)",
 }
 
 
@@ -58,7 +60,9 @@ def _cli_outputs(path, capsys):
 
 
 # The sha256 of each shape's labelled outputs, library calls first, then
-# the CLI, computed with the recursive walks under a raised limit.
+# the CLI, computed with the recursive walks under a raised limit
+# (new-tau-1000 with the engine that took a nest one restriction at a
+# time).
 DEEP_SHA256 = {
     "send-chain-10000": (
         "0e92279407624fb8dc8ce4aa933d3e11a9933e942bf76a2a507bd5e954aa8ed2"),
@@ -72,6 +76,8 @@ DEEP_SHA256 = {
         "e6d742396b3273c0702d73e4be929bdd110b006776af8b2e0742be04ee7253b7"),
     "guards-1000": (
         "6060aa753b9d4eb34e1541591957ac65d033a7792ea3270103bd1c3afa3cff25"),
+    "new-tau-1000": (
+        "52900087913f0b3ef7250e3048e02086cb774f24fd6216d593ffa57166817cf6"),
 }
 
 

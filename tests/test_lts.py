@@ -4,6 +4,7 @@ agreement with the independent rule-schema oracle."""
 import copy
 import dataclasses
 import gc
+import itertools
 import pickle
 import random
 from pathlib import Path
@@ -13,16 +14,18 @@ import pytest
 from naive_lts import naive_step_set, normalize
 from rough_terms import rough_process
 from cpi import syntax
-from cpi.encoding import encode_with_handlers
+from cpi.encoding import encode, encode_with_handlers
 from cpi.gen import random_cpi_process, random_pi_process
 from cpi.lts import (
     BoundOutAct, Engine, InAct, NoSuchTransition, OutAct, TAU, TauAct,
-    _action_sort_key, run_trace, successors, tau_reachable,
+    _action_sort_key, _guards_pass, _input_candidates, action_names,
+    run_trace, successors, tau_reachable,
 )
 from cpi.parser import PI, parse, render
 from cpi.syntax import (
-    NIL, Name, Par, Prefixed, Receive, Repl, Restrict, Send, SortError,
-    canonicalize, chan, free_names, par, var,
+    CHAN, NIL, Name, Par, Prefixed, Receive, Repl, Restrict, Send, SortError,
+    canonicalize, chan, free_names, fresh_names, par, prefix_chain,
+    substitute, substitute_free, var,
 )
 
 
@@ -356,6 +359,264 @@ def test_no_inputs_is_the_empty_environment():
             with_inputs += any(isinstance(tr.action, InAct)
                                for tr in engine.successors(p, extra))
     assert with_inputs >= 100
+
+
+# ---------------------------------------------------------------------------
+# The rule engine against the one that took a restriction nest one channel
+# at a time, asked every partner for inputs and renamed bound outputs apart
+# from the sibling's free names, kept here as the reference.
+
+
+def _ref_rename_bound_away(a, target, avoid):
+    clash = [b for b in a.bound if b in avoid]
+    if not clash:
+        return a, target
+    avoid_idents = ({n.ident for n in avoid}
+                    | {n.ident for n in action_names(a)}
+                    | {n.ident for n in free_names(target)})
+    fresh = fresh_names(CHAN, "o", avoid_idents, len(clash))
+    m = dict(zip(clash, fresh))
+    objs = tuple(m.get(o, o) for o in a.objects)
+    bound = tuple(m.get(b, b) for b in a.bound)
+    return BoundOutAct(a.subject, objs, bound), substitute_free(target, m)
+
+
+class ReferenceEngine(Engine):
+    """Engine with the reference rule engine in place of its own."""
+
+    def _input_on(self, p, subject, objects):
+        cache = self._input_cache
+        hit = cache.get((p, subject, objects))
+        if hit is not None:
+            return hit
+        todo = [p]
+        while todo:
+            t = todo[-1]
+            out = []
+            kind = type(t)
+            if kind is Prefixed:
+                guards, core = prefix_chain(t.prefix)
+                if _guards_pass(guards) and type(core) is Receive and core.subject == subject:
+                    if len(core.binders) != len(objects):
+                        raise SortError(
+                            f"receive on {subject.ident!r} has arity {len(core.binders)}, "
+                            f"synchronization offers {len(objects)}")
+                    target = substitute(t.continuation, dict(zip(core.binders, objects)))
+                    out.append((target, ("match",) * len(guards) + ("in",)))
+            elif kind is Par:
+                l, r = t.left, t.right
+                ls = cache.get((l, subject, objects))
+                rs = cache.get((r, subject, objects))
+                if ls is None or rs is None:
+                    todo += [q for q, d in ((r, rs), (l, ls)) if d is None]
+                    continue
+                for t2, rl in ls:
+                    out.append((Par(t2, r), rl + ("par-l",)))
+                for t2, rl in rs:
+                    out.append((Par(l, t2), rl + ("par-r",)))
+            elif kind is Restrict:
+                ks = t.channels
+                if subject not in ks and not any(o in ks for o in objects):
+                    inner = cache.get((t.body, subject, objects))
+                    if inner is None:
+                        todo.append(t.body)
+                        continue
+                    for t2, rl in inner:
+                        out.append((Restrict(ks, t2), rl + ("res",)))
+            elif kind is Repl:
+                inner = cache.get((t.body, subject, objects))
+                if inner is None:
+                    todo.append(t.body)
+                    continue
+                for t2, rl in inner:
+                    out.append((Par(t2, t), rl + ("rep-act",)))
+            cache[(todo.pop(), subject, objects)] = out
+            while todo and (todo[-1], subject, objects) in cache:
+                todo.pop()
+        return out
+
+    def _succ(self, p, env):
+        cache = self._succ_cache
+        hit = cache.get((p, env))
+        if hit is not None:
+            return hit
+        todo = [p]
+        while todo:
+            p = todo[-1]
+            out = []
+            kind = type(p)
+            if kind is Prefixed:
+                cont = p.continuation
+                guards, core = prefix_chain(p.prefix)
+                if _guards_pass(guards):
+                    rules = ("match",) * len(guards)
+                    if type(core) is Send:
+                        if core.subject.is_channel and all(o.is_channel for o in core.objects):
+                            out.append((OutAct(core.subject, core.objects), cont,
+                                        rules + ("out",)))
+                    elif core.subject in env and core.subject.is_channel:
+                        cands = _input_candidates(env, len(core.binders))
+                        for tup in itertools.product(*cands):
+                            target = substitute(cont, dict(zip(core.binders, tup)))
+                            out.append((InAct(core.subject, tup), target,
+                                        rules + ("in",)))
+            elif kind is Par:
+                l, r = p.left, p.right
+                ls = cache.get((l, env))
+                rs = cache.get((r, env))
+                if ls is None or rs is None:
+                    todo += [q for q, d in ((r, rs), (l, ls)) if d is None]
+                    continue
+                for a, t, rl in ls:
+                    if isinstance(a, BoundOutAct):
+                        a, t = _ref_rename_bound_away(a, t, free_names(r))
+                    out.append((a, Par(t, r), rl + ("par-l",)))
+                for a, t, rl in rs:
+                    if isinstance(a, BoundOutAct):
+                        a, t = _ref_rename_bound_away(a, t, free_names(l))
+                    out.append((a, Par(l, t), rl + ("par-r",)))
+                for a, t, rl in ls:
+                    if isinstance(a, OutAct):
+                        for t2, rl2 in self._input_on(r, a.subject, a.objects):
+                            out.append((TAU, Par(t, t2), rl + rl2 + ("comm-l",)))
+                    elif isinstance(a, BoundOutAct):
+                        a2, t = _ref_rename_bound_away(a, t, free_names(r))
+                        for t2, rl2 in self._input_on(r, a2.subject, a2.objects):
+                            out.append((TAU, Restrict(a2.bound, Par(t, t2)),
+                                        rl + rl2 + ("close-l",)))
+                for a, t, rl in rs:
+                    if isinstance(a, OutAct):
+                        for t2, rl2 in self._input_on(l, a.subject, a.objects):
+                            out.append((TAU, Par(t2, t), rl + rl2 + ("comm-r",)))
+                    elif isinstance(a, BoundOutAct):
+                        a2, t = _ref_rename_bound_away(a, t, free_names(l))
+                        for t2, rl2 in self._input_on(l, a2.subject, a2.objects):
+                            out.append((TAU, Restrict(a2.bound, Par(t2, t)),
+                                        rl + rl2 + ("close-r",)))
+            elif kind is Restrict:
+                k, ks = p.channels[0], p.channels[1:]
+                inner_p = Restrict(ks, p.body) if ks else p.body
+                inner = cache.get((inner_p, env))
+                if inner is None:
+                    todo.append(inner_p)
+                    continue
+                for a, t, rl in inner:
+                    if isinstance(a, OutAct) and k in a.objects and a.subject != k:
+                        out.append((BoundOutAct(a.subject, a.objects, (k,)), t,
+                                    rl + ("open",)))
+                    elif (isinstance(a, BoundOutAct) and k in a.objects
+                          and k not in a.bound and a.subject != k):
+                        bound_set = set(a.bound) | {k}
+                        bound = tuple(o for i, o in enumerate(a.objects)
+                                      if o in bound_set and o not in a.objects[:i])
+                        out.append((BoundOutAct(a.subject, a.objects, bound), t,
+                                    rl + ("open",)))
+                    elif k not in action_names(a):
+                        out.append((a, Restrict((k,), t), rl + ("res",)))
+            elif kind is Repl:
+                body = p.body
+                inner = cache.get((body, env))
+                if inner is None:
+                    todo.append(body)
+                    continue
+                for a, t, rl in inner:
+                    if isinstance(a, BoundOutAct):
+                        a, t = _ref_rename_bound_away(a, t, free_names(body))
+                    out.append((a, Par(t, p), rl + ("rep-act",)))
+                for a, t, rl in inner:
+                    if isinstance(a, OutAct):
+                        for t2, rl2 in self._input_on(body, a.subject, a.objects):
+                            out.append((TAU, Par(Par(t, t2), p),
+                                        rl + rl2 + ("rep-comm",)))
+                    elif isinstance(a, BoundOutAct):
+                        a2, t = _ref_rename_bound_away(a, t, free_names(body))
+                        for t2, rl2 in self._input_on(body, a2.subject, a2.objects):
+                            out.append((TAU, Par(Restrict(a2.bound, Par(t, t2)), p),
+                                        rl + rl2 + ("rep-close",)))
+            cache[(todo.pop(), env)] = out
+            while todo and (todo[-1], env) in cache:
+                todo.pop()
+        return out
+
+
+def _receive_subjects(p):
+    """The names that receive prefixes of ``p`` receive on."""
+    if type(p) is Prefixed:
+        core = prefix_chain(p.prefix)[1]
+        own = {core.subject} if type(core) is Receive else set()
+        return own | _receive_subjects(p.continuation)
+    if type(p) is Par:
+        return _receive_subjects(p.left) | _receive_subjects(p.right)
+    if type(p) in (Restrict, Repl):
+        return _receive_subjects(p.body)
+    return set()
+
+
+def _engine_inputs():
+    """The corpus, 2,000 seeded pi and cpi terms with replication, 600
+    polyadic rough terms, and translations with their handlers, open and
+    closed, with the states one tau step into each.  A translated receive
+    on a free channel takes an input of four names, too many to list on
+    an environment of a dozen channels, so an open translation's source
+    receives on restricted channels only."""
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    yield from (parse(f.read_text(), mode=PI)
+                for f in sorted(corpus.glob("*/*.cpi")))
+    rng = random.Random(5150)
+    for i in range(2000):
+        gen = random_pi_process if i % 2 else random_cpi_process
+        yield gen(rng, rng.randint(1, 12), repl_weight=0.08)
+    for _ in range(600):
+        yield rough_process(rng, rng.randint(2, 10))
+    sources = []
+    for i in range(150):
+        source = random_pi_process(rng, rng.randint(2, 8 if i % 5 else 5),
+                                   repl_weight=0.05)
+        frees = sorted((n for n in free_names(source) if n.is_channel),
+                       key=lambda n: n.ident)
+        heard = [n for n in frees if n in _receive_subjects(source)]
+        sources.append(Restrict(tuple(frees), source) if frees else source)
+        if i % 5 == 0 and heard and len(heard) < len(frees):
+            sources.append(Restrict(tuple(heard), source))
+    for source in sources:
+        enc = encode_with_handlers(source)
+        yield enc
+        yield from (tr.target for tr in successors(enc, include_inputs=False)
+                    if tr.action is TAU)
+    yield from translations()
+
+
+def _engine_answers(engine, p, extra):
+    """successors with and without inputs and labels, or the sort error
+    each raised, as type and message."""
+    for call in (lambda: engine.successors(p, extra),
+                 lambda: engine.successors(p, extra, include_inputs=False),
+                 lambda: engine.labels(p, extra)):
+        try:
+            yield call()
+        except SortError as e:
+            yield type(e), str(e)
+
+
+def test_rule_engine_matches_the_reference_engine():
+    seen = {"sort errors": 0, "bound outputs": 0, "closes": 0, "nest wraps": 0,
+            "replicated syncs": 0, "guarded syncs": 0}
+    for p in _engine_inputs():
+        engine, reference = Engine(), ReferenceEngine()
+        for extra in EXTRAS:
+            got = list(_engine_answers(engine, p, extra))
+            assert got == list(_engine_answers(reference, p, extra)), (render(p), extra)
+            if got[0][:1] == (SortError,):
+                seen["sort errors"] += 1
+                continue
+            for tr in got[0]:
+                seen["bound outputs"] += type(tr.action) is BoundOutAct
+                seen["closes"] += any(r.startswith("close") for r in tr.rules)
+                seen["nest wraps"] += tr.rules.count("res") > 1
+                if tr.action is TAU:
+                    seen["replicated syncs"] += any(r.startswith("rep-") for r in tr.rules)
+                    seen["guarded syncs"] += "match" in tr.rules
+    assert min(seen.values()) >= 25, seen
 
 
 # ---------------------------------------------------------------------------

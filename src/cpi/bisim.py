@@ -19,8 +19,8 @@ from .lts import Action, BoundOutAct, Engine, action_to_json, render_action
 from .parser import render
 from .syntax import (
     CHAN, CpiError, Match, Name, NIL, Par, Prefix, Prefixed, Process,
-    Receive, Restrict, Send, bound_names, canonicalize, chan, free_names,
-    fresh_names, substitute_free, var,
+    Receive, Repl, Restrict, Send, bound_names, canonicalize, chan, drive,
+    free_names, fresh_names, substitute_free, var,
 )
 
 
@@ -121,6 +121,10 @@ def check(p: Process, q: Process, depth: int,
     return Verdict(False, depth, tuple(ce))
 
 
+# What _Game._settle answers for a pair that the game must expand.
+_OPEN = object()
+
+
 class _Game:
     """One memoised bisimulation game; its memo dies with it.
 
@@ -139,23 +143,44 @@ class _Game:
     def play(self, a: Process, b: Process, d: int):
         """None if the defender survives ``d`` rounds from ``(a, b)``,
         else the attacker's winning moves."""
+        result = self._settle(a, b, d)
+        if result is _OPEN:
+            result = drive(self._expand, a, b, d)
+        return result
+
+    def _scope(self, a: Process, b: Process):
+        """The environment of the round from ``(a, b)`` and the idents
+        its bound-output labels avoid."""
+        env = self.base_env | frozenset(
+            n for n in free_names(a) | free_names(b) if n.is_channel)
+        avoid = {n.ident for n in env | free_names(a) | free_names(b)}
+        return env, avoid
+
+    def _settle(self, a: Process, b: Process, d: int):
+        """What :meth:`play` answers without expanding ``(a, b)``: for an
+        identical pair, a memo hit or a last round; else ``_OPEN``."""
         if a == b:
             return None
         key = (a, b, d)
         memo = self.memo
         if key in memo:
             return memo[key]
-        env = self.base_env | frozenset(
-            n for n in free_names(a) | free_names(b) if n.is_channel)
-        avoid = {n.ident for n in env | free_names(a) | free_names(b)}
-        if d == 1:
-            # No round is left after this one, so every reply survives
-            # and only a label the other side lacks can win it.
-            result = _unmatched_label(
-                _normalized_labels(self.engine, a, env, avoid),
-                _normalized_labels(self.engine, b, env, avoid))
-            memo[key] = result
-            return result
+        if d > 1:
+            return _OPEN
+        # No round is left after this one, so every reply survives and
+        # only a label the other side lacks can win it.
+        env, avoid = self._scope(a, b)
+        result = _unmatched_label(
+            _normalized_labels(self.engine, a, env, avoid),
+            _normalized_labels(self.engine, b, env, avoid))
+        memo[key] = result
+        return result
+
+    def _expand(self, a: Process, b: Process, d: int):
+        """:meth:`play` on a pair that :meth:`_settle` leaves open, as a
+        generator for :func:`syntax.drive`: it yields each sub-round that
+        :meth:`_settle` leaves open."""
+        env, avoid = self._scope(a, b)
         moves_a = _normalized_moves(self.engine, a, env, avoid)
         moves_b = _normalized_moves(self.engine, b, env, avoid)
         by_label_a: dict = {}
@@ -165,6 +190,7 @@ class _Game:
         for act, t in moves_b:
             by_label_b.setdefault(act, []).append(t)
 
+        settle = self._settle
         result = None
         for attacker, defender, side in ((by_label_a, by_label_b, "right"),
                                          (by_label_b, by_label_a, "left")):
@@ -176,8 +202,10 @@ class _Game:
                         break
                     sub_fails = []
                     for c in cands:
-                        sub = (self.play(t, c, d - 1) if side == "right"
-                               else self.play(c, t, d - 1))
+                        x, y = (t, c) if side == "right" else (c, t)
+                        sub = settle(x, y, d - 1)
+                        if sub is _OPEN:
+                            sub = yield x, y, d - 1
                         if sub is None:
                             break
                         sub_fails.append(sub)
@@ -188,7 +216,7 @@ class _Game:
                     break
             if result is not None:
                 break
-        memo[key] = result
+        self.memo[(a, b, d)] = result
         return result
 
 
@@ -323,11 +351,9 @@ def law_suite(seed: int, instances: int, depth: int,
 
     def law_repl_unfold():
         p = gen(3)
-        from .syntax import Repl
         return (Repl(p), Par(p, Repl(p)))
 
     def law_repl_input_restricted():
-        from .syntax import Repl
         k = chan("ri")
         x = var("xri")
         body = gen(3)

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``parse``, ``step``, ``bisim``, ``nonforward``, ``encode``.
-Exit codes: 0 success, 1 syntax error, 2 confidential-fragment violation,
-3 a ``bisim`` game deeper than Python's recursion limit.
+Exit codes: 0 success; 1 a syntax error, another input error or a
+standard output closed before all of it was written; 2 a
+confidential-fragment violation.
 Output does not depend on what ran earlier in the process, so no
 setting is needed to reproduce it; ``CPI_FRESH_START``, which once pinned
 a fresh-name counter, is accepted and ignored.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -19,17 +21,16 @@ from .bisim import check, law_suite
 from .encoding import (
     SourceModeError, check_completeness, encode, encode_with_handlers,
 )
-from .lts import successors, tau_reachable
+from .lts import render_action, successors
 from .nonforward import (
     WitnessNotCpi, check_nonforwarding, static_guarantee, witness_check,
 )
 from .parser import CPI, PI, CpiSyntaxError, parse, render
-from .syntax import CpiViolation, SortError, validate_cpi
+from .syntax import CpiViolation, SortError, chan, validate_cpi
 
 EXIT_OK = 0
 EXIT_SYNTAX = 1
 EXIT_VIOLATION = 2
-EXIT_TOO_DEEP = 3
 
 
 def _read_source(path: str) -> str:
@@ -67,12 +68,9 @@ def cmd_parse(args) -> int:
 
 
 def cmd_step(args) -> int:
-    from .syntax import chan
-
     p = _parse_file(args, args.file)
     env = tuple(chan(n) for n in args.env.split(",") if n) if args.env else ()
     trans = successors(p, env, include_inputs=not args.no_inputs)
-    from .lts import render_action
     lines = [f"{render_action(t.action):30s} -> {render(t.target)}" for t in trans]
     _emit(args, {"process": render(p),
                  "transitions": [t.to_json() for t in trans]},
@@ -117,7 +115,6 @@ def cmd_nonforward(args) -> int:
     if v.satisfied:
         text = f"non-forwarding holds for all traces up to depth {v.depth}"
     else:
-        from .lts import render_action
         steps = "; ".join(render_action(a) for a in v.violation.trace)
         text = (f"forwarding violation: channel {v.violation.channel.ident!r} "
                 f"received at step {v.violation.receive_index}, "
@@ -211,7 +208,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point standard output at devnull
+        # so that the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_SYNTAX
     except CpiSyntaxError as e:
         print(f"syntax error: {e}", file=sys.stderr)
         return EXIT_SYNTAX
@@ -221,10 +227,6 @@ def main(argv: list[str] | None = None) -> int:
     except (SourceModeError, WitnessNotCpi, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SYNTAX
-    except RecursionError:
-        print("error: game too deep: its depth exceeds Python's recursion "
-              f"limit ({sys.getrecursionlimit()})", file=sys.stderr)
-        return EXIT_TOO_DEEP
 
 
 if __name__ == "__main__":

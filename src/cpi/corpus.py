@@ -48,9 +48,7 @@ class CorpusCase:
 def load_corpus(root: Path) -> list[CorpusCase]:
     cases = []
     for source in sorted(root.glob("*/*.cpi")):
-        manifest = source.with_suffix("").with_suffix(".expect.json")
-        if not manifest.exists():
-            manifest = source.parent / (source.stem + ".expect.json")
+        manifest = source.parent / (source.stem + ".expect.json")
         expected = json.loads(manifest.read_text())
         cases.append(CorpusCase(
             section=source.parent.name,

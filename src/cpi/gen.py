@@ -9,11 +9,12 @@ variables, every communication is monadic, so sorts cannot clash).
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Sequence
 
 from .syntax import (
     Match, Name, NIL, Par, Prefix, Prefixed, Process, Receive, Repl,
-    Restrict, Send, chan, var,
+    Restrict, Send, chan, drive, var,
 )
 
 _POOL = ("a", "b", "c", "d")
@@ -58,8 +59,11 @@ def random_prefix(rng: random.Random, channels: Sequence[Name],
     return pre
 
 
-def _random_process(rng: random.Random, size: int, sc: _Scope,
-                    pi_mode: bool, repl_weight: float) -> Process:
+def _random_process(rng: random.Random, sc: _Scope, pi_mode: bool,
+                    size: int, repl_weight: float):
+    """A random process, as a generator for :func:`syntax.drive`: it
+    yields the ``(size, repl_weight)`` of each subterm to draw, the left
+    of '|' before the right."""
     if size <= 1:
         if rng.random() < 0.4:
             return NIL
@@ -74,18 +78,20 @@ def _random_process(rng: random.Random, size: int, sc: _Scope,
     if roll < 0.50:
         saved = list(sc.variables)
         pre = random_prefix(rng, (), pi_mode=pi_mode, scope=sc)
-        cont = _random_process(rng, size - 1, sc, pi_mode, repl_weight)
+        cont = yield size - 1, repl_weight
         sc.variables = saved
         return Prefixed(pre, cont)
     if roll < 0.75:
         left_size = rng.randint(1, size - 1)
-        return Par(_random_process(rng, left_size, sc, pi_mode, repl_weight),
-                   _random_process(rng, size - left_size, sc, pi_mode, repl_weight))
+        left = yield left_size, repl_weight
+        right = yield size - left_size, repl_weight
+        return Par(left, right)
     if roll < 0.75 + repl_weight:
-        return Repl(_random_process(rng, min(size - 1, 3), sc, pi_mode, 0.0))
+        body = yield min(size - 1, 3), 0.0
+        return Repl(body)
     k = sc.fresh_chan()
     sc.channels.append(k)
-    body = _random_process(rng, size - 1, sc, pi_mode, repl_weight)
+    body = yield size - 1, repl_weight
     sc.channels.pop()
     return Restrict((k,), body)
 
@@ -95,7 +101,7 @@ def random_cpi_process(rng: random.Random, size: int,
                        repl_weight: float = 0.08) -> Process:
     """A random confidential process of at most ``size`` AST nodes."""
     sc = _Scope([chan(c) for c in _POOL] + list(extra_channels), [])
-    return _random_process(rng, size, sc, pi_mode=False, repl_weight=repl_weight)
+    return drive(partial(_random_process, rng, sc, False), size, repl_weight)
 
 
 def random_pi_process(rng: random.Random, size: int,
@@ -106,4 +112,4 @@ def random_pi_process(rng: random.Random, size: int,
     forwarded (objects range over every name in scope)."""
     sc = _Scope([chan(c) for c in _POOL] + list(extra_channels),
                 list(free_variables))
-    return _random_process(rng, size, sc, pi_mode=True, repl_weight=repl_weight)
+    return drive(partial(_random_process, rng, sc, True), size, repl_weight)

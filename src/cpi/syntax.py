@@ -350,12 +350,37 @@ def wrap_matches(guards: Iterable[tuple[Name, Name]], core: Prefix) -> Prefix:
 # up (_fill): a prefix, for ``prefix.hole``, or one of these tuples.
 # canonicalize's walk (_renumber) fills its own contexts in the same
 # loop, each keeping the node it came from, so that a node whose parts
-# come back unchanged is reused.
+# come back unchanged is reused.  A function that would call itself on
+# anything else, a round of the bisimulation game or a subterm of the
+# random generator, is a generator run by ``drive``.
 _RIGHT = 0      # (_RIGHT, right, mark): the right of a '|', still to walk
 _PAR_L = 1      # (_PAR_L, left): Par(left, hole)
 _PAR_R = 2      # (_PAR_R, right): Par(hole, right)
 _NEW = 3        # (_NEW, channels): Restrict(channels, hole)
 _REPL = (4,)    # Repl(hole)
+
+
+def drive(step, *args):
+    """The return value of the generator ``step(*args)``, where ``step``
+    yields wherever it would call itself: each value it yields is the
+    argument tuple of that call, and is answered with the call's return
+    value.  The calls still open wait on a list, not on the Python
+    stack, so their depth is no limit."""
+    top = step(*args)
+    stack = []
+    value = None
+    while True:
+        try:
+            args = top.send(value)
+        except StopIteration as done:
+            if not stack:
+                return done.value
+            top = stack.pop()
+            value = done.value
+        else:
+            stack.append(top)
+            top = step(*args)
+            value = None
 
 
 def _rollback(env: dict, trail: list, mark: int) -> None:

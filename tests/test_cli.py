@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cpi.cli import EXIT_TOO_DEEP, main
+from cpi.cli import main
 from cpi.corpus import load_corpus
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -136,16 +136,37 @@ def test_deep_term_exits_0(command, text):
     assert out.count("!<") >= 1000
 
 
-def test_game_deeper_than_the_recursion_limit_exit_3(tmp_path):
-    # the bisim game recurses once per round: the only recursion left
-    # along an input
+def test_game_1200_rounds_deep_exits_0(tmp_path):
+    # the game keeps its open rounds on a list, so its depth is no limit
     p, q = tmp_path / "p.cpi", tmp_path / "q.cpi"
     p.write_text("a!<b>." * 1200 + "0")
     q.write_text("a!<b>." * 1200 + "0 | 0")
     code, out, err = run_cli(["bisim", str(p), str(q), "--depth", "1200"])
-    assert code == EXIT_TOO_DEEP == 3 and out == ""
-    assert err.startswith("error: game too deep")
-    assert len(err.splitlines()) == 1
+    assert code == 0 and err == ""
+    assert out == "bisimilar up to depth 1200\n"
+
+
+@pytest.mark.parametrize("args, texts", [
+    (["parse"], ["a!<b>." * 20000 + "0"]),
+    (["bisim", "--depth", "1200", "--json"],
+     ["a!<b>." * 1200 + "0", "a!<b>." * 1199 + "a!<c>.0"]),
+], ids=["parse-20000-sends", "bisim-json-1200-steps"])
+def test_closed_pipe_exits_1_without_traceback(args, texts, tmp_path):
+    # the reader stops after 20 bytes of an output larger than a pipe
+    # holds, so the writer is sure to find the pipe closed
+    files = []
+    for i, text in enumerate(texts):
+        files.append(tmp_path / f"{i}.cpi")
+        files[-1].write_text(text)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cpi.cli", *args, *map(str, files)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert len(head) == 20
+    assert proc.wait(timeout=60) == 1 and "Traceback" not in err, err
 
 
 def test_encode_170_prefixes():

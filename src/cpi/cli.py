@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``parse``, ``step``, ``bisim``, ``nonforward``, ``encode``.
-Exit codes: 0 success; 1 a syntax error, another input error or a
+Exit codes: 0 success; 1 a syntax error, another input error (a
+missing, unreadable or non-UTF-8 file, a depth out of range) or a
 standard output closed before all of it was written; 2 a
 confidential-fragment violation.
 Output does not depend on what ran earlier in the process, so no
-setting is needed to reproduce it; ``CPI_FRESH_START``, which once pinned
-a fresh-name counter, is accepted and ignored.
+setting is needed to reproduce it.
 """
 
 from __future__ import annotations
@@ -138,8 +138,7 @@ def cmd_encode(args) -> int:
         lines.append("ok" if report.ok else "FAILED")
         _emit(args, report.to_json(), "\n".join(lines))
         return EXIT_OK
-    enc = (encode_with_handlers(p, args.fresh_start) if args.with_handlers
-           else encode(p, args.fresh_start))
+    enc = encode_with_handlers(p) if args.with_handlers else encode(p)
     _emit(args, {"source": render(p), "encoded": render(enc),
                  "validation": validate_cpi(enc).to_json()},
           render(enc))
@@ -193,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--with-handlers", action="store_true",
                     help="compose with handlers for the free channels")
-    sp.add_argument("--fresh-start", type=int, default=0)
     sp.add_argument("--verify", action="store_true",
                     help="check reduction completeness instead of printing")
     sp.add_argument("--tau", type=int, default=12,
@@ -224,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CpiViolation, SortError) as e:
         print(f"confidentiality violation: {e}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (SourceModeError, WitnessNotCpi, FileNotFoundError) as e:
+    except (SourceModeError, WitnessNotCpi, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SYNTAX
 

@@ -74,7 +74,7 @@ def handler(k: Name) -> Process:
     return Par(reveal, broker)
 
 
-def encode(p: Process, fresh_start: int = 0) -> Process:
+def encode(p: Process) -> Process:
     """Translate the monadic sum-free term ``p``.
 
     Raises :class:`SourceModeError` if a prefix is polyadic or a free
@@ -90,7 +90,7 @@ def encode(p: Process, fresh_start: int = 0) -> Process:
                 f"free reserved name {n.ident!r} in translation source")
     taken = {n.ident for n in free_names(p) | bound_names(p)}
     surface = _idents("src", taken, itertools.count())
-    fr = itertools.count(fresh_start)
+    fr = itertools.count()
     # The surface name of each reserved binder in scope, with the outer
     # entries saved on the trail (see the traversal discipline in syntax).
     env: dict[Name, Name] = {}
@@ -156,10 +156,10 @@ def encode(p: Process, fresh_start: int = 0) -> Process:
             raise TypeError(t)
 
 
-def encode_with_handlers(p: Process, fresh_start: int = 0) -> Process:
+def encode_with_handlers(p: Process) -> Process:
     """The translation of ``p`` composed with handlers for its free
     channels (modulo reflexive match guards)."""
-    base = encode(p, fresh_start)
+    base = encode(p)
     frees = sorted((n for n in fnn(p) if n.is_channel),
                    key=lambda n: n.ident)
     if not frees:

@@ -38,8 +38,8 @@ from typing import Iterable, Optional, Union
 from .parser import render
 from .syntax import (
     CHAN, CpiError, Name, Par, Prefixed, Process, Receive, Repl, Restrict,
-    Send, SortError, _MISSING, _Node, _keep, _nodes, _remember,
-    canonicalize, free_names, fresh_names, prefix_chain, substitute,
+    Send, SortError, _MISSING, _Node, _keep, _nodes, _remember, canonicalize,
+    free_names, fresh_names, prefix_chain, substitute, substitute_free,
 )
 
 
@@ -559,42 +559,46 @@ def successors(p: Process, environment: Iterable[Name] = (),
 # Traces and tau reachability
 
 
-def _labels_match(requested: Action, offered: Action) -> bool:
-    """Label equality, with bound-output names compared positionally."""
-    kind = type(requested)
-    if kind is not type(offered):
-        return False
-    if kind is TauAct:
-        return True
-    if kind is OutAct or kind is InAct:
-        return requested is offered
-    if requested.subject != offered.subject:
-        return False
-    if len(requested.objects) != len(offered.objects):
-        return False
-    rb, ob = set(requested.bound), set(offered.bound)
-    pairing: dict[Name, Name] = {}
-    for r, o in zip(requested.objects, offered.objects):
-        if (r in rb) != (o in ob):
-            return False
-        if r in rb:
-            if pairing.setdefault(r, o) != o:
-                return False
-        elif r != o:
-            return False
-    return True
+def normal_label(a: Action, avoid: set[str]) -> tuple[Action, Optional[dict]]:
+    """``a`` with its bound names renamed, in the order they first occur
+    among its objects, to the first reserved names ``#b0, #b1, ...``
+    whose identifiers are not in ``avoid``, and that renaming (None when
+    ``a`` binds nothing).
+
+    Under one ``avoid`` that holds every free name of two bound outputs,
+    they are the same label up to the names they bind exactly when their
+    normal forms are the same action.
+    """
+    if type(a) is not BoundOutAct:
+        return a, None
+    bound = tuple(dict.fromkeys(o for o in a.objects if o in a.bound))
+    m = dict(zip(bound, fresh_names(CHAN, "b", avoid, len(bound))))
+    return BoundOutAct(a.subject, tuple(m.get(o, o) for o in a.objects),
+                       tuple(m.values())), m
 
 
 def run_trace(p: Process, actions: Iterable[Action]) -> Process:
-    """Fold :func:`successors` along ``actions``; bound-output labels are
-    matched up to consistent renaming of their bound names."""
+    """Fold :func:`successors` along ``actions``, taking the first
+    matching transition at each step.  A bound output matches up to the
+    names it binds (:func:`normal_label`) if none is free in the state,
+    and the state reached calls them as ``actions`` does."""
     engine = Engine()
     state = canonicalize(p)
     for i, a in enumerate(actions):
+        free = free_names(state)
+        avoid = {n.ident for n in free | action_names(a)}
+        want, named = normal_label(a, avoid)
+        # A bound name already free in the state is not fresh there.
+        fresh = named is None or free.isdisjoint(named)
         extra = [n for n in action_free(a) if n.is_channel]
-        for tr in engine.successors(state, extra):
-            if _labels_match(a, tr.action):
+        for tr in engine.successors(state, extra) if fresh else ():
+            got, m = normal_label(tr.action, avoid)
+            if got is want:
                 state = tr.target
+                if m is not None:
+                    requested = {b: n for n, b in named.items()}
+                    state = canonicalize(substitute_free(
+                        state, {o: requested[b] for o, b in m.items()}))
                 break
         else:
             raise NoSuchTransition(i, render_action(a))

@@ -203,7 +203,7 @@ def test_criterion_7_translation_properties(capsys):
             q = random_pi_process(rng, rng.randint(2, 6), repl_weight=0.08)
             assert validate_cpi(encode(p)).ok, render(p)
             assert canonicalize(encode(Par(p, q))) == canonicalize(
-                Par(encode(p), encode(q, fresh_start=500)))
+                Par(encode(p), encode(q)))
             frees = sorted((n for n in free_names(p) if n.is_channel),
                            key=lambda n: n.ident)
             if frees:

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from cpi.bisim import (
-    ConstructionError, Verdict, check, check_proposition1_instance, law_suite,
+    ConstructionError, Verdict, _Game, check, check_proposition1_instance,
+    law_suite,
 )
 from cpi.gen import random_cpi_process, random_pi_process
 from cpi.lts import BoundOutAct, Engine, InAct, OutAct, TauAct
@@ -130,9 +131,29 @@ def test_law_suite_independent_of_history():
 
 
 def test_law_suite_json():
-    rep = law_suite(seed=5, instances=2, depth=2, include_mutant=False)
+    rep = law_suite(seed=5, instances=2, depth=2)
     j = rep.to_json()
-    assert j["ok"] is True and len(j["laws"]) == 10
+    assert j["ok"] is True and len(j["laws"]) == 11
+    assert j["laws"][-1]["name"] == "mutant-par-absorb"
+    assert j["laws"][-1]["should_fail"] and j["laws"][-1]["failures"]
+
+
+def test_lost_chain_memo_holds_one_move_per_round():
+    # the memo's counterexamples share their tails, so a game lost n
+    # rounds deep keeps n moves, not n(n+1)/2
+    n = 1000
+    p = canonicalize(parse("a!<b>." * n + "0"))
+    q = canonicalize(parse("a!<b>." * (n - 1) + "a!<c>.0"))
+    game = _Game(p, q, Engine())
+    game.play(p, q, n)
+    links = set()
+    for link in game.memo.values():
+        while link is not None and id(link) not in links:
+            links.add(id(link))
+            link = link[1]
+    assert len(links) <= n
+    move = (OutAct(chan("a"), (chan("b"),)), "right")
+    assert check(p, q, n) == Verdict(False, n, (move,) * n)
 
 
 def test_memoization_consistency():

@@ -118,6 +118,25 @@ def test_fresh_start_env(tmp_path):
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("args", [
+    ["bisim", "{p}", "{p}", "--depth", "0"],
+    ["bisim", "--laws", "--depth", "0"],
+    ["nonforward", "{p}", "--depth", "-1"],
+    ["parse", "{dir}"],
+    ["parse", "{latin1}"],
+], ids=["bisim-depth-0", "laws-depth-0", "nonforward-depth-minus-1",
+        "directory", "not-utf-8"])
+def test_bad_input_exits_1_with_one_error_line(args, tmp_path):
+    p = tmp_path / "p.cpi"
+    p.write_text("a!<b>.0")
+    latin1 = tmp_path / "latin1.cpi"
+    latin1.write_bytes("a!<b>.0 | c!<é>.0".encode("latin-1"))
+    code, out, err = run_cli(
+        [a.format(p=p, dir=tmp_path, latin1=latin1) for a in args])
+    assert code == 1 and out == "" and "Traceback" not in err, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_main_callable_directly(capsys):
     code = main(["bisim", "--laws", "--instances", "1", "--depth", "1"])
     assert code == 0

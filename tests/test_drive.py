@@ -51,7 +51,8 @@ def test_drive_answers_each_yield_with_the_return_value():
 
 
 class RecursiveGame:
-    """``bisim._Game`` as it was when it called itself once per round."""
+    """``bisim._Game`` as it was when it called itself once per round
+    and kept each counterexample as a list of its own."""
 
     def __init__(self, p, q, engine):
         self.base_env = frozenset(
@@ -70,9 +71,9 @@ class RecursiveGame:
             n for n in free_names(a) | free_names(b) if n.is_channel)
         avoid = {n.ident for n in env | free_names(a) | free_names(b)}
         if d == 1:
-            result = _unmatched_label(
+            result = _listed(_unmatched_label(
                 _normalized_labels(self.engine, a, env, avoid),
-                _normalized_labels(self.engine, b, env, avoid))
+                _normalized_labels(self.engine, b, env, avoid)))
             memo[key] = result
             return result
         moves_a = _normalized_moves(self.engine, a, env, avoid)
@@ -111,6 +112,17 @@ class RecursiveGame:
         return result
 
 
+def _listed(link):
+    """The moves of a linked counterexample as a list, None as None."""
+    if link is None:
+        return None
+    moves = []
+    while link is not None:
+        move, link = link
+        moves.append(move)
+    return moves
+
+
 def _game_pairs(monkeypatch):
     """The pairs that the law suite (mutant law included) and 40 random
     Proposition-1 instances hand to ``bisim.check``, canonical."""
@@ -141,8 +153,10 @@ def test_game_plays_as_the_recursive_game(monkeypatch, deep):
             old = RecursiveGame(p, q, engine)
             new = _Game(p, q, engine)
             want = deep(old.play, p, q, d)
-            assert new.play(p, q, d) == want, (render(p), render(q), d)
-            assert list(new.memo.items()) == list(old.memo.items())
+            got = new.play(p, q, d)
+            assert _listed(got) == want, (render(p), render(q), d)
+            assert [(k, _listed(v)) for k, v in new.memo.items()] == list(
+                old.memo.items())
             outcomes.add((want is None, d))
     # both verdicts at every depth
     assert len(outcomes) == 10

@@ -72,7 +72,7 @@ def test_encode_is_homomorphic():
         p = random_pi_process(rng, 6, repl_weight=0.1)
         q = random_pi_process(rng, 6, repl_weight=0.1)
         lhs = canonicalize(encode(Par(p, q)))
-        rhs = canonicalize(Par(encode(p), encode(q, fresh_start=1000)))
+        rhs = canonicalize(Par(encode(p), encode(q)))
         assert lhs == rhs
 
 
@@ -290,9 +290,8 @@ def test_encode_renames_reserved_binders_as_a_renamed_copy_would():
     # the source names src0 and src1 must be skipped
     renamed = 0
     for p in _canonical_sources():
-        for start in (0, 7):
-            want = render(encode(_rename_reserved_binders(p), start))
-            assert render(encode(p, start)) == want, render(p)
+        want = render(encode(_rename_reserved_binders(p)))
+        assert render(encode(p)) == want, render(p)
         renamed += "src" in want
     assert renamed >= 250
 
@@ -327,12 +326,12 @@ def test_completeness_reports_are_pinned():
     assert hashlib.sha256(dump.encode()).hexdigest() == COMPLETENESS_SHA256
 
 
-def _rec_encode(p, fresh_start=0):
+def _rec_encode(p):
     """encode as the recursive translation computed it, reserved binders
     renamed as they are met."""
     taken = {n.ident for n in free_names(p) | bound_names(p)}
     surface = (f"src{i}" for i in itertools.count() if f"src{i}" not in taken)
-    fr = itertools.count(fresh_start)
+    fr = itertools.count()
 
     def bind(bn, env):
         if bn.is_reserved:
@@ -383,6 +382,5 @@ def test_encode_agrees_with_recursive_translation():
         p = random_pi_process(rng, rng.randint(1, 24), repl_weight=0.1)
         sources += (p, canonicalize(p))
     for p in sources:
-        for start in (0, 7):
-            assert encode(p, start) is _rec_encode(p, start), render(p)
+        assert encode(p) is _rec_encode(p), render(p)
     assert len(sources) >= 4600

@@ -14,6 +14,7 @@ import pytest
 from naive_lts import naive_step_set, normalize
 from rough_terms import rough_process
 from cpi import syntax
+from cpi.bisim import check
 from cpi.encoding import encode, encode_with_handlers
 from cpi.gen import random_cpi_process, random_pi_process
 from cpi.lts import (
@@ -138,6 +139,63 @@ def test_run_trace_bound_output_matching():
     q = run_trace(p, [BoundOutAct(chan("k"), (chan("fresh"),), (chan("fresh"),))])
     assert ("out", "@?", ()) or True  # the continuation speaks on the opened name
     assert len(successors(q)) == 1
+
+
+def _replay_counterexample(p, q, depth):
+    """The counterexample of ``check(p, q, depth)`` and the state that
+    ``run_trace`` reaches along it from the side that moves last."""
+    ce = check(p, q, depth).counterexample
+    return ce, run_trace(q if ce[-1][1] == "left" else p, [a for a, _ in ce])
+
+
+def test_counterexample_reusing_an_extruded_name_replays():
+    p = parse("new k in a!<k>.k!<c>.0")
+    q = parse("new k in a!<k>.k!<d>.0")
+    ce, end = _replay_counterexample(p, q, 3)
+    b0 = chan("#b0")
+    assert ce == ((BoundOutAct(chan("a"), (b0,), (b0,)), "right"),
+                  (OutAct(b0, (chan("c"),)), "right"))
+    assert end is NIL
+
+
+def test_extrusion_counterexamples_replay():
+    # new k in a!<k>.P against new k in a!<k>.Q: every counterexample
+    # that starts with the extrusion replays on the side that moves last
+    rng = random.Random(11)
+    a, k = chan("a"), chan("k")
+    replayed = reused = 0
+    while replayed < 300:
+        p, q = (Restrict((k,), Prefixed(Send(a, (k,)), random_cpi_process(
+                    rng, rng.randint(2, 6), extra_channels=(k,),
+                    repl_weight=0.0)))
+                for _ in range(2))
+        ce = check(p, q, 4).counterexample
+        if ce is None or len(ce) < 2 or type(ce[0][0]) is not BoundOutAct:
+            continue
+        _replay_counterexample(p, q, 4)
+        replayed += 1
+        b0 = ce[0][0].bound[0]
+        reused += any(b0 in action_names(x) for x, _ in ce[1:])
+    # over half of them use the extruded name again
+    assert reused > 150
+
+
+def test_run_trace_bound_names_are_fresh_and_pair_by_position():
+    p = parse("(new k in a!<k>.k!<a>.0) | b!<c>.0")
+    a, c, z = chan("a"), chan("c"), chan("z")
+    with pytest.raises(NoSuchTransition) as ei:
+        run_trace(p, [BoundOutAct(a, (c,), (c,))])
+    assert ei.value.step == 0
+    # a fresh name is opened and keeps its spelling
+    assert run_trace(p, [BoundOutAct(a, (z,), (z,)), OutAct(z, (a,))]) is (
+        canonicalize(parse("0 | b!<c>.0")))
+    # bound names pair by position, whatever order the label lists them in
+    k, x, y = chan("k"), chan("x"), chan("y")
+    p = parse("new l, m in k!<l, m>.m!<a>.0")
+    assert run_trace(p, [BoundOutAct(k, (x, y), (y, x)), OutAct(y, (a,))]) is NIL
+    with pytest.raises(NoSuchTransition) as ei:
+        run_trace(p, [BoundOutAct(k, (x, y), (y, x)), OutAct(x, (a,))])
+    assert ei.value.step == 1
 
 
 def test_tau_reachable():

@@ -36,7 +36,10 @@ EXIT_VIOLATION = 2
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path!r} is not UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -38,8 +38,8 @@ from typing import Iterable, Optional, Union
 from .parser import render
 from .syntax import (
     CHAN, CpiError, Name, Par, Prefixed, Process, Receive, Repl, Restrict,
-    Send, SortError, _MISSING, _Node, _keep, _nodes, _remember, canonicalize,
-    free_names, fresh_names, prefix_chain, substitute, substitute_free,
+    Send, SortError, _Node, _remember, canonicalize, free_names, fresh_names,
+    prefix_chain, substitute, substitute_free,
 )
 
 
@@ -49,9 +49,10 @@ class NoSuchTransition(CpiError):
         super().__init__(f"no matching transition at step {step}" + (f": {message}" if message else ""))
 
 
-# Actions are built like terms (see the hash-consing note in syntax.py).
-# Each keeps its sort key, computed once on a table miss: tau, outputs,
-# bound outputs and inputs in that order, then the identifiers.
+# Actions are nodes like terms (see the hash-consing note in syntax.py).
+# Each one's ``_init`` sets its sort key, so it is computed once, on a
+# table miss: tau, outputs, bound outputs and inputs in that order, then
+# the identifiers.
 
 
 class _Action(_Node):
@@ -63,17 +64,9 @@ class _Message(_Action):
 
     __slots__ = __match_args__ = ("subject", "objects")
 
-    def __new__(cls, subject: Name, objects: tuple[Name, ...]) -> "_Message":
-        key = (cls, subject, objects)
-        node = _nodes.get(key, _MISSING)()
-        if node is None:
-            node = object.__new__(cls)
-            _remember(node, "subject", subject)
-            _remember(node, "objects", objects)
-            _remember(node, "_sort_key", (cls._rank, subject.ident,
-                                          tuple(o.ident for o in objects), ()))
-            _keep(node, key)
-        return node
+    def _init(self) -> None:
+        _remember(self, "_sort_key", (self._rank, self.subject.ident,
+                                      tuple(o.ident for o in self.objects), ()))
 
 
 class OutAct(_Message):
@@ -89,39 +82,24 @@ class InAct(_Message):
 class BoundOutAct(_Action):
     __slots__ = __match_args__ = ("subject", "objects", "bound")
 
-    def __new__(cls, subject: Name, objects: tuple[Name, ...],
-                bound: tuple[Name, ...]) -> "BoundOutAct":
-        key = (cls, subject, objects, bound)
-        node = _nodes.get(key, _MISSING)()
-        if node is None:
-            if not bound:
-                raise ValueError("bound output needs a bound object")
-            if not set(bound) <= set(objects):
-                raise ValueError("bound names must be among the objects")
-            if subject in bound:
-                raise ValueError("bound output subject cannot be bound")
-            node = object.__new__(cls)
-            _remember(node, "subject", subject)
-            _remember(node, "objects", objects)
-            _remember(node, "bound", bound)
-            _remember(node, "_sort_key", (2, subject.ident,
-                                          tuple(o.ident for o in objects),
-                                          tuple(b.ident for b in bound)))
-            _keep(node, key)
-        return node
+    def _init(self) -> None:
+        subject, objects, bound = self.subject, self.objects, self.bound
+        if not bound:
+            raise ValueError("bound output needs a bound object")
+        if not set(bound) <= set(objects):
+            raise ValueError("bound names must be among the objects")
+        if subject in bound:
+            raise ValueError("bound output subject cannot be bound")
+        _remember(self, "_sort_key", (2, subject.ident,
+                                      tuple(o.ident for o in objects),
+                                      tuple(b.ident for b in bound)))
 
 
 class TauAct(_Action):
     __slots__ = ()
 
-    def __new__(cls) -> "TauAct":
-        key = (cls,)
-        node = _nodes.get(key, _MISSING)()
-        if node is None:
-            node = object.__new__(cls)
-            _remember(node, "_sort_key", (0, "", (), ()))
-            _keep(node, key)
-        return node
+    def _init(self) -> None:
+        _remember(self, "_sort_key", (0, "", (), ()))
 
 
 Action = Union[OutAct, InAct, BoundOutAct, TauAct]
@@ -173,7 +151,6 @@ def render_action(a: Action) -> str:
 
 @dataclass(frozen=True)
 class Transition:
-    source: Process
     action: Action
     target: Process
     rules: tuple[str, ...]
@@ -362,7 +339,7 @@ class Engine:
         for a in sorted(groups, key=_action_sort_key):
             group = groups[a]
             targets = sorted(group, key=render) if len(group) > 1 else group
-            trans.extend(Transition(p, a, t, group[t]) for t in targets)
+            trans.extend(Transition(a, t, group[t]) for t in targets)
         return tuple(trans)
 
     # _succ and _input_on derive premises first.  On a cache miss they
@@ -577,32 +554,54 @@ def normal_label(a: Action, avoid: set[str]) -> tuple[Action, Optional[dict]]:
                        tuple(m.values())), m
 
 
-def run_trace(p: Process, actions: Iterable[Action]) -> Process:
-    """Fold :func:`successors` along ``actions``, taking the first
-    matching transition at each step.  A bound output matches up to the
-    names it binds (:func:`normal_label`) if none is free in the state,
-    and the state reached calls them as ``actions`` does."""
-    engine = Engine()
-    state = canonicalize(p)
-    for i, a in enumerate(actions):
-        free = free_names(state)
-        avoid = {n.ident for n in free | action_names(a)}
-        want, named = normal_label(a, avoid)
-        # A bound name already free in the state is not fresh there.
-        fresh = named is None or free.isdisjoint(named)
-        extra = [n for n in action_free(a) if n.is_channel]
-        for tr in engine.successors(state, extra) if fresh else ():
-            got, m = normal_label(tr.action, avoid)
-            if got is want:
-                state = tr.target
-                if m is not None:
-                    requested = {b: n for n, b in named.items()}
-                    state = canonicalize(substitute_free(
-                        state, {o: requested[b] for o, b in m.items()}))
-                break
+def _matching_targets(engine: Engine, state: Process, a: Action):
+    """The targets of ``state``'s transitions that match ``a``, in
+    :func:`successors` order.  A bound output matches up to the names it
+    binds (:func:`normal_label`) if none is free in the state, and the
+    target calls them as ``a`` does."""
+    free = free_names(state)
+    avoid = {n.ident for n in free | action_names(a)}
+    want, named = normal_label(a, avoid)
+    # A bound name already free in the state is not fresh there.
+    if named is not None and not free.isdisjoint(named):
+        return
+    extra = [n for n in action_free(a) if n.is_channel]
+    for tr in engine.successors(state, extra):
+        got, m = normal_label(tr.action, avoid)
+        if got is not want:
+            continue
+        if m is None:
+            yield tr.target
         else:
-            raise NoSuchTransition(i, render_action(a))
-    return state
+            requested = {b: n for n, b in named.items()}
+            yield canonicalize(substitute_free(
+                tr.target, {o: requested[b] for o, b in m.items()}))
+
+
+def run_trace(p: Process, actions: Iterable[Action]) -> Process:
+    """The first state, depth first in :func:`successors` order, that a
+    path of transitions matching ``actions`` reaches from ``p``.  With no
+    such path, :class:`NoSuchTransition` names the deepest step that any
+    path reached."""
+    actions = tuple(actions)
+    engine = Engine()
+    # paths[i] yields the candidate states after i actions; a state is
+    # tried once per step.
+    paths = [iter((canonicalize(p),))]
+    tried: set = set()
+    deepest = 0
+    while paths:
+        i = len(paths) - 1
+        state = next(paths[-1], None)
+        if state is None:
+            paths.pop()
+        elif i == len(actions):
+            return state
+        elif (i, state) not in tried:
+            tried.add((i, state))
+            deepest = max(deepest, i)
+            paths.append(_matching_targets(engine, state, actions[i]))
+    raise NoSuchTransition(deepest, render_action(actions[deepest]))
 
 
 @dataclass(frozen=True)

@@ -58,13 +58,17 @@ class ReservedNameError(CpiError):
 # never changes an answer.  (Filliâtre & Conchon, *Type-safe modular
 # hash-consing*, ML Workshop 2006.)
 #
-# Every term is built through these constructors, so each one is written
-# out in full: a hit is one table lookup and one call of the weak
-# reference; a miss checks the fields, sets the slots and registers a
-# ``_Ref`` whose callback drops the entry when the node dies.  The
-# actions of the transition system (``lts.OutAct`` and the rest) are
-# interned through the same table in the same way, and keep their sort
-# key in a slot.
+# A node class declares only its fields, as ``__match_args__`` (and in
+# ``__slots__``), and, when it checks them or derives a slot from them,
+# an ``_init(self)``.  ``_Node.__init_subclass__`` gives each class its
+# constructor, one closure per field count over the field names and
+# ``_init``.  The key of a node is ``(cls, *fields)``.  A hit is one
+# table lookup and one call of the weak reference; a miss sets the
+# fields, runs ``_init`` and only then registers a ``_Ref`` whose
+# callback drops the entry when the node dies, so a node that fails a
+# check is never interned.  The actions of the transition system
+# (``lts.OutAct`` and the rest) are interned through the same table in
+# the same way.
 
 _nodes: dict = {}
 _remember = object.__setattr__
@@ -98,11 +102,75 @@ class _Gone:
 _MISSING = weakref.ref(_Gone())
 
 
+def _constructor(fields: tuple[str, ...], init):
+    """The ``__new__`` of a node class with these fields and ``_init``
+    (or None).  Each field count has its own closure, so neither a hit
+    nor a miss loops over the fields or looks up the class."""
+    get, new = _nodes.get, object.__new__
+    if not fields:
+        def construct(cls):
+            key = (cls,)
+            node = get(key, _MISSING)()
+            if node is None:
+                node = new(cls)
+                if init is not None:
+                    init(node)
+                _keep(node, key)
+            return node
+    elif len(fields) == 1:
+        (f1,) = fields
+
+        def construct(cls, v1):
+            key = (cls, v1)
+            node = get(key, _MISSING)()
+            if node is None:
+                node = new(cls)
+                _remember(node, f1, v1)
+                if init is not None:
+                    init(node)
+                _keep(node, key)
+            return node
+    elif len(fields) == 2:
+        f1, f2 = fields
+
+        def construct(cls, v1, v2):
+            key = (cls, v1, v2)
+            node = get(key, _MISSING)()
+            if node is None:
+                node = new(cls)
+                _remember(node, f1, v1)
+                _remember(node, f2, v2)
+                if init is not None:
+                    init(node)
+                _keep(node, key)
+            return node
+    else:
+        f1, f2, f3 = fields
+
+        def construct(cls, v1, v2, v3):
+            key = (cls, v1, v2, v3)
+            node = get(key, _MISSING)()
+            if node is None:
+                node = new(cls)
+                _remember(node, f1, v1)
+                _remember(node, f2, v2)
+                _remember(node, f3, v3)
+                if init is not None:
+                    init(node)
+                _keep(node, key)
+            return node
+    return staticmethod(construct)
+
+
 class _Node:
     """Base of the interned term classes: immutable, compared by identity."""
 
     __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__new__ = _constructor(cls.__match_args__,
+                                   getattr(cls, "_init", None))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -121,19 +189,11 @@ class _Node:
 class Name(_Node):
     __slots__ = __match_args__ = ("kind", "ident")
 
-    def __new__(cls, kind: str, ident: str) -> "Name":
-        key = (cls, kind, ident)
-        node = _nodes.get(key, _MISSING)()
-        if node is None:
-            if kind not in (CHAN, VAR):
-                raise ValueError(f"bad name kind: {kind!r}")
-            if not ident:
-                raise ValueError("empty identifier")
-            node = object.__new__(cls)
-            _remember(node, "kind", kind)
-            _remember(node, "ident", ident)
-            _keep(node, key)
-        return node
+    def _init(self) -> None:
+        if self.kind not in (CHAN, VAR):
+            raise ValueError(f"bad name kind: {self.kind!r}")
+        if not self.ident:
+            raise ValueError("empty identifier")
 
     @property
     def is_channel(self) -> bool:
@@ -171,55 +231,29 @@ class Send(_Node):
     __slots__ = ("subject", "objects", "_text")
     __match_args__ = ("subject", "objects")
 
-    def __new__(cls, subject: Name, objects: tuple[Name, ...]) -> "Send":
-        key = (cls, subject, objects)
-        node = _nodes.get(key, _MISSING)()
-        if node is None:
-            if not objects:
-                raise ValueError("send prefix needs at least one object")
-            node = object.__new__(cls)
-            _remember(node, "subject", subject)
-            _remember(node, "objects", objects)
-            _keep(node, key)
-        return node
+    def _init(self) -> None:
+        if not self.objects:
+            raise ValueError("send prefix needs at least one object")
 
 
 class Receive(_Node):
     __slots__ = ("subject", "binders", "_text")
     __match_args__ = ("subject", "binders")
 
-    def __new__(cls, subject: Name, binders: tuple[Name, ...]) -> "Receive":
-        key = (cls, subject, binders)
-        node = _nodes.get(key, _MISSING)()
-        if node is None:
-            if not binders:
-                raise ValueError("receive prefix needs at least one binder")
-            for b in binders:
-                if b.kind != VAR:
-                    raise ValueError("receive binders must be variables")
-            if len(set(binders)) != len(binders):
-                raise ValueError("receive binders must be pairwise distinct")
-            node = object.__new__(cls)
-            _remember(node, "subject", subject)
-            _remember(node, "binders", binders)
-            _keep(node, key)
-        return node
+    def _init(self) -> None:
+        binders = self.binders
+        if not binders:
+            raise ValueError("receive prefix needs at least one binder")
+        for b in binders:
+            if b.kind != VAR:
+                raise ValueError("receive binders must be variables")
+        if len(set(binders)) != len(binders):
+            raise ValueError("receive binders must be pairwise distinct")
 
 
 class Match(_Node):
     __slots__ = ("lhs", "rhs", "inner", "_text")
     __match_args__ = ("lhs", "rhs", "inner")
-
-    def __new__(cls, lhs: Name, rhs: Name, inner: "Prefix") -> "Match":
-        key = (cls, lhs, rhs, inner)
-        node = _nodes.get(key, _MISSING)()
-        if node is None:
-            node = object.__new__(cls)
-            _remember(node, "lhs", lhs)
-            _remember(node, "rhs", rhs)
-            _remember(node, "inner", inner)
-            _keep(node, key)
-        return node
 
 
 Prefix = Union[Send, Receive, Match]
@@ -234,73 +268,28 @@ class _Process(_Node):
 class Nil(_Process):
     __slots__ = ()
 
-    def __new__(cls) -> "Nil":
-        key = (cls,)
-        node = _nodes.get(key, _MISSING)()
-        if node is None:
-            node = object.__new__(cls)
-            _keep(node, key)
-        return node
-
 
 class Prefixed(_Process):
     __slots__ = __match_args__ = ("prefix", "continuation")
-
-    def __new__(cls, prefix: Prefix, continuation: "Process") -> "Prefixed":
-        key = (cls, prefix, continuation)
-        node = _nodes.get(key, _MISSING)()
-        if node is None:
-            node = object.__new__(cls)
-            _remember(node, "prefix", prefix)
-            _remember(node, "continuation", continuation)
-            _keep(node, key)
-        return node
 
 
 class Par(_Process):
     __slots__ = __match_args__ = ("left", "right")
 
-    def __new__(cls, left: "Process", right: "Process") -> "Par":
-        key = (cls, left, right)
-        node = _nodes.get(key, _MISSING)()
-        if node is None:
-            node = object.__new__(cls)
-            _remember(node, "left", left)
-            _remember(node, "right", right)
-            _keep(node, key)
-        return node
-
 
 class Restrict(_Process):
     __slots__ = __match_args__ = ("channels", "body")
 
-    def __new__(cls, channels: tuple[Name, ...], body: "Process") -> "Restrict":
-        key = (cls, channels, body)
-        node = _nodes.get(key, _MISSING)()
-        if node is None:
-            if not channels:
-                raise ValueError("restriction needs at least one channel")
-            for k in channels:
-                if k.kind != CHAN:
-                    raise ValueError("restriction binds channels only")
-            node = object.__new__(cls)
-            _remember(node, "channels", channels)
-            _remember(node, "body", body)
-            _keep(node, key)
-        return node
+    def _init(self) -> None:
+        if not self.channels:
+            raise ValueError("restriction needs at least one channel")
+        for k in self.channels:
+            if k.kind != CHAN:
+                raise ValueError("restriction binds channels only")
 
 
 class Repl(_Process):
     __slots__ = __match_args__ = ("body",)
-
-    def __new__(cls, body: "Process") -> "Repl":
-        key = (cls, body)
-        node = _nodes.get(key, _MISSING)()
-        if node is None:
-            node = object.__new__(cls)
-            _remember(node, "body", body)
-            _keep(node, key)
-        return node
 
 
 Process = Union[Nil, Prefixed, Par, Restrict, Repl]

@@ -135,6 +135,8 @@ def test_bad_input_exits_1_with_one_error_line(args, tmp_path):
         [a.format(p=p, dir=tmp_path, latin1=latin1) for a in args])
     assert code == 1 and out == "" and "Traceback" not in err, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if args[-1] == "{latin1}":
+        assert "latin1.cpi" in err, err
 
 
 def test_main_callable_directly(capsys):

@@ -126,8 +126,7 @@ def test_polyadic_arity_mismatch_raises():
 
 def test_run_trace():
     p = parse("a?(x).x!<b>.0", mode=PI)
-    q = run_trace(p, [InAct(chan("c"), (chan("c"),))] if False else
-                  [InAct(chan("a"), (chan("c"),))])
+    q = run_trace(p, [InAct(chan("a"), (chan("c"),))])
     assert labels(q) == [("out", "c", ("b",))]
     with pytest.raises(NoSuchTransition) as ei:
         run_trace(p, [TAU])
@@ -137,7 +136,8 @@ def test_run_trace():
 def test_run_trace_bound_output_matching():
     p = parse("new l in k!<l>.l!<a>.0")
     q = run_trace(p, [BoundOutAct(chan("k"), (chan("fresh"),), (chan("fresh"),))])
-    assert ("out", "@?", ()) or True  # the continuation speaks on the opened name
+    # the continuation speaks on the opened name, as the label spells it
+    assert labels(q) == [("out", "fresh", ("a",))]
     assert len(successors(q)) == 1
 
 
@@ -178,6 +178,49 @@ def test_extrusion_counterexamples_replay():
         reused += any(b0 in action_names(x) for x, _ in ce[1:])
     # over half of them use the extruded name again
     assert reused > 150
+
+
+def test_counterexample_through_a_later_same_label_move_replays():
+    # the game's path leaves by the second of two a!<b> moves: the replay
+    # must back out of the first, whose target cannot go on
+    p = parse("a!<b>.0 | a!<b>.c!<d>.0")
+    q = parse("a!<b>.0 | a!<b>.0")
+    ce, end = _replay_counterexample(p, q, 2)
+    assert [a for a, _ in ce] == [OutAct(chan("a"), (chan("b"),)),
+                                  OutAct(chan("c"), (chan("d"),))]
+    assert end is canonicalize(parse("a!<b>.0 | 0"))
+
+
+def test_same_label_counterexamples_replay():
+    # a!<b>.P | a!<b>.Q against a!<b>.P | a!<b>.P: the two a!<b> moves
+    # of one side have different futures, and every counterexample
+    # replays on the side that moves last
+    rng = random.Random(5)
+    a, b = chan("a"), chan("b")
+    replayed = 0
+    while replayed < 300:
+        p, q = (Prefixed(Send(a, (b,)), random_cpi_process(
+                    rng, rng.randint(1, 5), repl_weight=0.0))
+                for _ in range(2))
+        ce = check(Par(p, q), Par(p, p), 4).counterexample
+        if ce is None:
+            continue
+        _replay_counterexample(Par(p, q), Par(p, p), 4)
+        replayed += 1
+
+
+def test_run_trace_names_the_deepest_step_reached():
+    # the first a!<b> target tried goes on by e!<f> and g!<h> and then
+    # stops; the second stops at once: the error names the deeper step
+    p = parse("a!<b>.c!<d>.0 | a!<b>.e!<f>.g!<h>.0")
+    a, b = chan("a"), chan("b")
+    with pytest.raises(NoSuchTransition) as ei:
+        run_trace(p, [OutAct(a, (b,)), OutAct(chan("e"), (chan("f"),)),
+                      OutAct(chan("g"), (chan("h"),)), TAU])
+    assert ei.value.step == 3 and "tau" in str(ei.value)
+    with pytest.raises(NoSuchTransition) as ei:
+        run_trace(p, [OutAct(a, (b,)), OutAct(chan("x"), (b,))])
+    assert ei.value.step == 1
 
 
 def test_run_trace_bound_names_are_fresh_and_pair_by_position():

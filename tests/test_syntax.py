@@ -19,6 +19,7 @@ from rough_terms import (
 from cpi import parser, syntax
 from cpi.encoding import SourceModeError, encode
 from cpi.gen import random_cpi_process, random_pi_process
+from cpi.lts import BoundOutAct
 from cpi.parser import PI, parse, render
 from cpi.syntax import (
     Match, NIL, Name, Nil, Par, Prefixed, Receive, Repl, Restrict, Send,
@@ -226,9 +227,10 @@ def test_canonical_form_is_its_own_canonical_form():
         assert _renumber(cp, {n.ident for n in free_names(cp)})[0] is cp
 
 
-# The constructors of the nodes a renaming may rebuild (names aside).
-_BUILDERS = {cls.__new__.__code__
-             for cls in (Match, Send, Receive, Prefixed, Par, Restrict, Repl)}
+# The nodes a renaming may rebuild (names aside), and their constructors'
+# code, which classes with the same number of fields share.
+_BUILT = (Match, Send, Receive, Prefixed, Par, Restrict, Repl)
+_BUILDERS = {cls.__new__.__code__ for cls in _BUILT}
 
 
 def test_canonical_walk_rebuilds_no_canonical_term():
@@ -237,8 +239,9 @@ def test_canonical_walk_rebuilds_no_canonical_term():
     built = []
 
     def note(frame, event, arg):
-        if event == "call" and frame.f_code in _BUILDERS:
-            built.append(frame.f_code.co_qualname)
+        if (event == "call" and frame.f_code in _BUILDERS
+                and frame.f_locals["cls"] in _BUILT):
+            built.append(frame.f_locals["cls"].__name__)
 
     walked = 0
     for p in itertools.islice(_canonicalize_cases(), 1500):
@@ -611,23 +614,31 @@ def test_rebuilt_node_outlives_the_stale_callback():
     assert syntax._nodes[key] is live and chan("zq_r") is n
 
 
-@pytest.mark.parametrize("build", [
-    lambda: Name("port", "a"),
-    lambda: Name("chan", ""),
-    lambda: Send(a, ()),
-    lambda: Receive(a, ()),
-    lambda: Receive(a, (b,)),
-    lambda: Receive(a, (x, x)),
-    lambda: Restrict((), NIL),
-    lambda: Restrict((x,), NIL),
+@pytest.mark.parametrize("build, error", [
+    (lambda: Name("port", "a"), ValueError),
+    (lambda: Name("chan", ""), ValueError),
+    (lambda: Send(a, ()), ValueError),
+    (lambda: Receive(a, ()), ValueError),
+    (lambda: Receive(a, (b,)), ValueError),
+    (lambda: Receive(a, (x, x)), ValueError),
+    (lambda: Restrict((), NIL), ValueError),
+    (lambda: Restrict((x,), NIL), ValueError),
+    (lambda: BoundOutAct(a, (b,), ()), ValueError),
+    (lambda: BoundOutAct(a, (b,), (c,)), ValueError),
+    (lambda: BoundOutAct(a, (a, b), (a,)), ValueError),
+    (lambda: Par(NIL), TypeError),
+    (lambda: Match(a, b), TypeError),
+    (lambda: Nil(NIL), TypeError),
 ], ids=["name-kind", "name-empty", "send-empty", "receive-empty",
         "receive-channel", "receive-repeat", "restrict-empty",
-        "restrict-variable"])
-def test_bad_nodes_raise_and_are_not_interned(build):
+        "restrict-variable", "bound-out-empty", "bound-out-not-object",
+        "bound-out-subject", "par-one-field", "match-two-fields",
+        "nil-one-field"])
+def test_bad_nodes_raise_and_are_not_interned(build, error):
     gc.collect()
     before = len(syntax._nodes)
     for _ in range(2):
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             build()
     assert len(syntax._nodes) == before
 

@@ -1,9 +1,9 @@
 """Bounded strong-bisimilarity checking with counterexample extraction.
 
-The checker plays the d-round symmetric bisimulation game over canonical
-state pairs, with memoization.  Bound-output labels are normalized on
-both sides (:func:`lts.normal_label`) before comparison, which realizes
-the freshness side condition on bound names.
+The checker plays the d-round symmetric bisimulation game over nameless
+state pairs (:func:`syntax.nameless`), with memoization.  Bound-output
+labels are normalized on both sides (:func:`lts.normal_label`) before
+comparison, which realizes the freshness side condition on bound names.
 The last round compares label sets only: any reply to it survives, so
 its targets are never built.  A positive answer is a bounded
 certificate, never a proof of full bisimilarity, and means the same as
@@ -15,12 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .lts import Action, Engine, action_to_json, normal_label, render_action
+from .lts import (
+    Action, Engine, _opened, action_to_json, normal_label, render_action,
+)
 from .parser import render
 from .syntax import (
     CpiError, Match, Name, NIL, Par, Prefix, Prefixed, Process, Receive,
-    Repl, Restrict, Send, bound_names, canonicalize, chan, drive, free_names,
-    substitute_free, var,
+    Repl, Restrict, Send, bound_names, chan, drive, free_names, nameless,
+    var,
 )
 
 
@@ -57,12 +59,12 @@ class Verdict:
 
 def _normalized_moves(engine: Engine, p: Process, extra_env: frozenset[Name],
                       avoid_idents: set[str]) -> list[tuple[Action, Process]]:
-    """Successor moves of ``p`` with normalized labels."""
+    """Moves of the nameless ``p`` with normalized labels; a bound
+    output's target calls its bound names as its label does."""
     moves = []
-    for tr in engine.successors(p, extra_env):
+    for tr in engine.transitions(p, extra_env):
         a, m = normal_label(tr.action, avoid_idents)
-        t = tr.target if m is None else canonicalize(substitute_free(tr.target, m))
-        moves.append((a, t))
+        moves.append((a, tr.target if m is None else _opened(tr.target, a.objects)))
     return moves
 
 
@@ -70,7 +72,7 @@ def _normalized_labels(engine: Engine, p: Process, extra_env: frozenset[Name],
                        avoid_idents: set[str]) -> dict:
     """The distinct normalized labels of ``p``'s moves, in move order."""
     return dict.fromkeys(normal_label(a, avoid_idents)[0]
-                         for a in engine.labels(p, extra_env))
+                         for a in engine.actions(p, extra_env))
 
 
 def _unmatched_label(labels_a: dict, labels_b: dict):
@@ -99,8 +101,8 @@ def check(p: Process, q: Process, depth: int,
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    p = canonicalize(p)
-    q = canonicalize(q)
+    p = nameless(p)
+    q = nameless(q)
     if engine is None:
         engine = Engine()
     link = _Game(p, q, engine).play(p, q, depth)

@@ -232,7 +232,8 @@ def check_completeness(p: Process, tau_budget: int = 12,
             for q, enc_q in list(pending.items()):
                 v = check(state, enc_q, depth, engine)
                 if v.bisimilar:
-                    results[q] = EncodingReport(p, q, True, steps, state, v)
+                    results[q] = EncodingReport(p, q, True, steps,
+                                                canonicalize(state), v)
                     del pending[q]
     for q in pending:
         results[q] = EncodingReport(p, q, False, None, None, None)

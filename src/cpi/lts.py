@@ -17,15 +17,17 @@ are the same object, compared and hashed by identity, and each keeps its
 sort key.
 
 The rules are the early rules of Sangiorgi & Walker (*The pi-calculus*,
-2001), applied to canonical states only.  Three shortcuts skip work that
-can yield no transition, each exact (see :class:`Engine`):
+2001), applied to nameless states only (de Bruijn indices for bound
+names, see :class:`~cpi.syntax.Idx`), so alpha-equivalent states are one
+node and no target is renumbered.  Three shortcuts skip work that can
+yield no transition, each exact (see :class:`Engine`):
 
 - a nest of restrictions is one rule step: its body is derived once and
   each move passes the nest by open, res or drop level by level;
 - an output asks its partner for inputs only when the partner has a
   receive on its subject ready, since no other partner derives one;
-- a bound output is never renamed apart from its sibling, since in a
-  canonical state no binder is free anywhere.
+- no bound name is renamed apart, since an index cannot meet a free
+  name.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Optional, Union
 
-from .parser import render
+from .parser import _text, render
 from .syntax import (
-    CHAN, CpiError, Name, Par, Prefixed, Process, Receive, Repl, Restrict,
-    Send, SortError, _Node, _remember, canonicalize, free_names, fresh_names,
-    prefix_chain, substitute, substitute_free,
+    CHAN, CpiError, Idx, Name, Par, Prefixed, Process, Receive, Repl,
+    Restrict, Send, SortError, _group, _idents, _name, _Node, _reindex,
+    _remember, canonicalize, free_names, fresh_names, nameless, prefix_chain,
 )
 
 
@@ -183,48 +185,211 @@ def _guards_pass(guards: list[tuple[Name, Name]]) -> bool:
     return all(a == b for a, b in guards)
 
 
-def _nest(p: Restrict) -> tuple[tuple[Name, ...], Process]:
-    """The channels of the chain of restrictions that starts at ``p``,
-    outermost first, and the body below the last of them."""
-    ks, body = p.channels, p.body
-    if type(body) is not Restrict:
-        return ks, body
-    ks = list(ks)
-    while type(body) is Restrict:
-        ks += body.channels
-        body = body.body
-    return tuple(ks), body
+def _nest_over(n: int, t: Process, level: Optional[tuple] = None,
+               holes: Optional[dict] = None) -> Process:
+    """``t`` under a new nest of ``n`` channels, read from outside it:
+    ``t`` calls channel ``j`` of the nest as ``level[j]`` (by its own
+    index when ``level`` is None) and hole ``i`` as ``holes[i]``.  A nest
+    that ``t`` starts with joins the new one, innermost, in the same
+    walk."""
+    if type(t) is Restrict:
+        m = len(t.channels)
+        inner = tuple(Idx(CHAN, 0, n + j) for j in range(m))
+        return Restrict(_group(CHAN, n + m),
+                        _reindex(t.body, (inner, level or _group(CHAN, n)),
+                                 -1, holes))
+    if level is not None or holes is not None:
+        t = _reindex(t, () if level is None else (level,), 0, holes)
+    return Restrict(_group(CHAN, n), t)
 
 
-def _through_nest(a: Action, t: Process, ks: tuple[Name, ...]):
+def _shift(n, by: int):
+    """The name ``n`` read ``by`` binder groups further in (out, if
+    ``by`` is negative): a free name or a hole is read the same."""
+    if type(n) is Idx and n.up >= 0:
+        return Idx(n.kind, n.up + by, n.pos)
+    return n
+
+
+def _close(bound: tuple, t: Process) -> Process:
+    """``new bound in t``, where ``t`` calls each name of ``bound`` by its
+    hole: the first name of ``bound`` is restricted outermost."""
+    holes = {h.pos: Idx(CHAN, 0, i) for i, h in enumerate(bound)}
+    return Restrict(_group(CHAN, len(bound)), _reindex(t, (), 1, holes))
+
+
+def _settled(t):
+    """A target of ``_succ``: a close is kept as ``(bound, t)`` until its
+    use is known, since a nest right above it takes it into its own
+    group in one walk (see ``_succ``)."""
+    return _close(*t) if type(t) is tuple else t
+
+
+def _through_nest(a: Action, t: Process, n: int):
     """The move ``(a, t)`` of a nest's body taken through the nest's
-    channels ``ks``, innermost first, by open, res or drop at each: the
-    action, the target and the rules it gains, or None once a level
-    drops it.  The target is wrapped once, in the channels res kept."""
-    s, objs = a.subject, a.objects
+    ``n`` channels, innermost (the last) first, by open, res or drop at
+    each: the action, the target and the rules it gains, or None once a
+    level drops it.  A channel of the nest that the action outputs
+    becomes a hole, numbered by its first place among the objects; the
+    target is wrapped once, in the channels res kept."""
+    s = a.subject
+    if type(s) is Idx and s.up == 0:
+        return None
     kind = type(a)
-    bound = a.bound if kind is BoundOutAct else ()
-    opened: list[Name] = []
-    kept: list[Name] = []
-    steps: list[str] = []
-    for k in reversed(ks):
-        if k is s:
-            return None
-        if k in objs:
-            if kind is InAct or k in bound or k in opened:
-                return None
-            opened.append(k)
-            steps.append("open")
-        else:
-            kept.append(k)
-            steps.append("res")
-    if opened:
-        bset = set(bound).union(opened)
-        a = BoundOutAct(s, objs, tuple(dict.fromkeys(o for o in objs if o in bset)))
+    objs = a.objects
+    opened: dict[int, Idx] = {}
+    moved = []
+    for i, o in enumerate(objs):
+        if type(o) is Idx and o.up >= 0:
+            if o.up == 0:
+                h = opened.get(o.pos)
+                if h is None:
+                    h = opened[o.pos] = Idx(CHAN, -1, i)
+                o = h
+            else:
+                o = Idx(o.kind, o.up - 1, o.pos)
+        moved.append(o)
+    moved = tuple(moved)
+    s = _shift(s, -1)
+    if not opened:
+        if s is not a.subject or moved != objs:
+            a = (BoundOutAct(s, moved, a.bound) if kind is BoundOutAct
+                 else kind(s, moved))
+        return a, _nest_over(n, t), ("res",) * n
+    if kind is InAct:
+        return None
+    level = []
+    kept = 0
+    for j in range(n):
+        h = opened.get(j)
+        if h is None:
+            h = Idx(CHAN, 0, kept)
+            kept += 1
+        level.append(h)
+    steps = tuple("open" if j in opened else "res" for j in reversed(range(n)))
+    bound = tuple(dict.fromkeys(
+        o for o in moved if type(o) is Idx and o.up < 0))
     if kept:
-        kept.reverse()
-        t = Restrict(tuple(kept), t)
-    return a, t, tuple(steps)
+        t = _nest_over(kept, t, tuple(level))
+    else:
+        t = _reindex(t, (tuple(level),), -1)
+    return BoundOutAct(s, moved, bound), t, steps
+
+
+class _Clash(Exception):
+    """A receive met at an arity its partner does not offer.  ``subject``
+    is read at the node ``at`` of the state whose derivation met it, and
+    named only when the error leaves the engine."""
+
+    def __init__(self, subject, arity: int, offered: int):
+        super().__init__()
+        self.subject, self.arity, self.offered = subject, arity, offered
+        self.at = None
+
+
+def _named_at(state: Process, at: Process, n) -> str:
+    """The identifier that the canonical form of ``state`` gives the name
+    ``n``, read at the first node ``at`` in traversal order."""
+    if type(n) is Name:
+        return n.ident
+    numbers = _idents("#", {m.ident for m in free_names(state)},
+                      itertools.count())
+    groups: list[tuple[str, ...]] = []
+    todo = [(state, 0)]
+    while todo:
+        t, mark = todo.pop()
+        del groups[mark:]
+        while t is not at:
+            kind = type(t)
+            if kind is Prefixed:
+                core = prefix_chain(t.prefix)[1]
+                if type(core) is Receive:
+                    groups.append(tuple(next(numbers) for _ in core.binders))
+                t = t.continuation
+            elif kind is Par:
+                todo.append((t.right, len(groups)))
+                t = t.left
+            elif kind is Restrict:
+                groups.append(tuple(next(numbers) for _ in t.channels))
+                t = t.body
+            elif kind is Repl:
+                t = t.body
+            else:
+                break
+        else:
+            return groups[-1 - n.up][n.pos]
+    raise ValueError("the node is not in the state")
+
+
+def _binder_count(t: Process) -> int:
+    """The number of binders in ``t``: numbers canonicalize gives out."""
+    n = 0
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is Prefixed:
+            core = prefix_chain(t.prefix)[1]
+            if type(core) is Receive:
+                n += len(core.binders)
+            todo.append(t.continuation)
+        elif kind is Par:
+            todo += (t.right, t.left)
+        elif kind is Restrict:
+            n += len(t.channels)
+            todo.append(t.body)
+        elif kind is Repl:
+            todo.append(t.body)
+    return n
+
+
+def _named_output(state: Process, a: BoundOutAct, rules: tuple) -> BoundOutAct:
+    """The bound output ``a``, derived at the top of the nameless
+    ``state`` by ``rules``, named as the canonical form of ``state``
+    names its binders.  The rules, read from the last, are the path from
+    ``state`` down to the sending prefix; the restrictions on that path
+    are the ones its indices can reach."""
+    t = state
+    count = 0
+    nest: list[tuple[int, ...]] = []
+    steps = iter(reversed(rules))
+    for rule in steps:
+        if rule == "par-l":
+            t = t.left
+        elif rule == "par-r":
+            count += _binder_count(t.left)
+            t = t.right
+        elif rule == "rep-act":
+            t = t.body
+        elif rule == "res" or rule == "open":
+            # one rule per channel of the nest, outermost first
+            n = len(t.channels)
+            nest.append(tuple(range(count, count + n)))
+            count += n
+            t = t.body
+            for _ in range(n - 1):
+                next(steps)
+    core = prefix_chain(t.prefix)[1]
+    numbers = _idents("#", {m.ident for m in free_names(state)},
+                      itertools.count())
+    idents = list(itertools.islice(numbers, count))
+
+    def name(n):
+        if type(n) is Name:
+            return n
+        return Name(CHAN, idents[nest[-1 - n.up][n.pos]])
+
+    objs = tuple(map(name, core.objects))
+    return BoundOutAct(name(core.subject), objs,
+                       tuple(objs[h.pos] for h in a.bound))
+
+
+def _opened(target: Process, names: tuple) -> Process:
+    """The state that a bound output's ``target`` is once hole ``i`` is
+    the name ``names[i]``."""
+    s = _reindex(target, holes=names)
+    _remember(s, "_nameless", None)
+    return s
 
 
 class Engine:
@@ -235,29 +400,43 @@ class Engine:
     that query's states only, and no answer depends on what ran earlier
     in the process.  A completeness check is one query: its tau closure
     and all of its games share one engine.  Sharing changes no answer,
-    since every cache is keyed by the canonical state and the input
+    since every cache is keyed by the nameless state and the input
     environment.
+
+    States inside the engine are nameless (:func:`~cpi.syntax.nameless`):
+    a bound name is an index, so alpha-equivalent states are one node and
+    a rule builds its target in final form; no target is renamed or
+    renumbered.  The clients (the bisimulation game, the non-forwarding
+    search, :func:`tau_levels`) hold nameless states and ask
+    :meth:`transitions` and :meth:`actions`.  :meth:`successors` and
+    :meth:`labels` are their edge: they take any process and answer as
+    before, targets named by :func:`~cpi.syntax.canonicalize`.  In both,
+    a bound output is named as the canonical form of its source names
+    the binders it opens, and the transitions are in the same order.
+    The target of a bound output calls each bound name by its hole
+    (``Idx`` with ``up`` -1, numbered by its first place among the
+    objects) until the client names it (:func:`_opened`).
 
     A client that needs only the labels of a state (the last round of a
     bounded game, the last level of a bounded search) asks
-    :meth:`labels`, which reads the same rule-engine cache as
-    :meth:`successors` but builds no canonical targets.  The transition
-    relation is the same either way, so a bounded answer built on labels
-    means what it would mean on full successors.
+    :meth:`actions`, which reads the same rule-engine cache as
+    :meth:`transitions` but builds no targets.  The transition relation
+    is the same either way, so a bounded answer built on labels means
+    what it would mean on full transitions.
 
-    The rule engine (``_succ`` and ``_input_on``) sees canonical states
-    and their subterms only, and skips three kinds of work:
+    The rule engine (``_succ`` and ``_input_on``) sees nameless states
+    and their subterms only: a subterm's indices may reach past it, to
+    binders above it, and its moves are read where it stands.  It skips
+    three kinds of work:
 
     - *A nest of restrictions is one rule step.*  ``new k1 in ... new kn
       in B`` derives ``B`` once; each move of ``B`` then meets ``kn``
       first and ``k1`` last, and at each level is opened, kept by res or
       dropped, exactly as nested single restrictions would do it, with
       the rules in the same order.  A kept move's target is wrapped
-      once, in the channels res kept, outermost first, and
-      :func:`~cpi.syntax.canonicalize` flattens that into the nested
-      singles the level-by-level rules would have built.  A move whose
-      names miss every channel of the nest (tau always does) passes
-      every level by res.
+      once, in the channels res kept.  A move whose names miss every
+      channel of the nest (tau always does) passes every level by res,
+      its target unchanged below the nest.
     - *Inputs are asked only of ready receivers.*  Each cache entry of
       ``_succ`` keeps the node's ready subjects, which do not depend on
       the environment: the subjects of its receives whose guards pass
@@ -266,27 +445,28 @@ class Engine:
       body's; they are a tuple, which may repeat a subject, since a
       singleton tuple is a quarter of the size of a singleton set.
       comm, close, rep-comm and rep-close call ``_input_on`` only when
-      the output's subject is among the partner's.  Any other subject
-      reaches no receive through the rules ``_input_on`` applies, so
-      the result would be empty; a sort error is raised only on
-      reaching such a receive, so none is lost.
-    - *Bound outputs are not renamed.*  A canonical state obeys the
-      Barendregt convention: its binders are pairwise distinct and none
-      is also free.  So does each of its subterms, on which alone a
-      cache entry depends.  A bound output of one component of a ``|``
-      (or of the body of a ``!``) binds names that ``open`` took from
-      restrictions inside that component, so they are binders of the
-      ``|`` (or ``!``) node, while the names free in the sibling (or
-      the body) are free in that node.  The two never meet, so comm,
-      close and the lifting rules never rename a bound name apart.
+      the output's subject is among the partner's, and ``_input_on``
+      enters a component of a ``|`` only when it is among the
+      component's.  Any other subject reaches no receive through the
+      rules ``_input_on`` applies, so the result would be empty; a sort
+      error is raised only on reaching such a receive, so none is lost.
+    - *No name is renamed apart.*  A bound name is an index or a hole,
+      and a free name is a :class:`~cpi.syntax.Name`, so no bound name
+      can meet a free one, by construction: comm, close and the lifting
+      rules never rename a bound output apart from its sibling, a
+      restriction never captures what passes it, and an extra channel
+      of the environment is never taken for a binder.
     """
 
-    __slots__ = ("_succ_cache", "_input_cache", "_trans_cache")
+    __slots__ = ("_succ_cache", "_input_cache", "_trans_cache",
+                 "_named_cache", "_candidates")
 
     def __init__(self) -> None:
         self._succ_cache: dict = {}
         self._input_cache: dict = {}
         self._trans_cache: dict = {}
+        self._named_cache: dict = {}
+        self._candidates: dict = {}
 
     def successors(self, p: Process, environment: Iterable[Name] = (),
                    include_inputs: bool = True) -> tuple[Transition, ...]:
@@ -297,30 +477,67 @@ class Engine:
         one cache entry and one tuple; a closed state with no extra
         environment shares it with ``include_inputs=True``.
         """
-        p = canonicalize(p)
+        s = nameless(p)
         env = frozenset()
         if include_inputs:
-            env = (frozenset(n for n in free_names(p) if n.is_channel)
+            env = (frozenset(n for n in free_names(s) if n.is_channel)
                    | frozenset(environment))
-        key = (p, env)
-        hit = self._trans_cache.get(key)
+        key = (s, env)
+        hit = self._named_cache.get(key)
         if hit is None:
-            hit = self._trans_cache[key] = self._transitions(p, env)
+            hit = self._named_cache[key] = tuple(
+                Transition(tr.action,
+                           _name(tr.target, tr.action.objects)
+                           if type(tr.action) is BoundOutAct
+                           else canonicalize(tr.target), tr.rules)
+                for tr in self.transitions(s, env))
         return hit
 
     def labels(self, p: Process,
                environment: Iterable[Name] = ()) -> tuple[Action, ...]:
         """The distinct actions of :meth:`successors` ``(p, environment)``,
         in the order of their first transition there."""
-        p = canonicalize(p)
-        env = (frozenset(n for n in free_names(p) if n.is_channel)
+        s = nameless(p)
+        env = (frozenset(n for n in free_names(s) if n.is_channel)
                | frozenset(environment))
-        # successors sorts by the action's key first, and the key is
-        # one-to-one here: every name in an action is a channel.
-        return tuple(sorted({a for a, _, _ in self._succ(p, env)},
-                            key=_action_sort_key))
+        return self.actions(s, env)
 
-    def _transitions(self, p: Process, env: frozenset[Name]) -> tuple[Transition, ...]:
+    def transitions(self, state: Process,
+                    env: frozenset[Name]) -> tuple[Transition, ...]:
+        """The transitions of the nameless ``state`` with inputs on the
+        channels of ``env``, in :meth:`successors` order; a bound
+        output's target calls its bound names by their holes."""
+        state = nameless(state)
+        key = (state, env)
+        hit = self._trans_cache.get(key)
+        if hit is None:
+            hit = self._trans_cache[key] = self._transitions(state, env)
+        return hit
+
+    def actions(self, state: Process,
+                env: frozenset[Name]) -> tuple[Action, ...]:
+        """The distinct actions of :meth:`transitions`, in their order."""
+        state = nameless(state)
+        # transitions sorts by the action's key first, and the key is
+        # one-to-one here: every name in an action is a channel.
+        acts = dict.fromkeys(
+            _named_output(state, a, rl) if type(a) is BoundOutAct else a
+            for a, _, rl in self._derive(state, env))
+        return tuple(sorted(acts, key=_action_sort_key))
+
+    def _derive(self, state: Process, env: frozenset[Name]) -> list:
+        """The derivations of ``state`` from ``_succ``; a sort error
+        names its subject as the canonical form of ``state`` does."""
+        try:
+            return self._succ(state, env)
+        except _Clash as clash:
+            raise SortError(
+                f"receive on {_named_at(state, clash.at, clash.subject)!r} "
+                f"has arity {clash.arity}, synchronization offers "
+                f"{clash.offered}") from None
+
+    def _transitions(self, state: Process,
+                     env: frozenset[Name]) -> tuple[Transition, ...]:
         # Sorted by (_action_sort_key(action), render(target)), computed
         # group by group.  The key is one-to-one on actions (every name
         # in an action is a channel), so a group of one action is a run
@@ -328,19 +545,35 @@ class Engine:
         # occurrence order that the stable sort of the whole kept.  A
         # target is rendered only to break a tie within its group.
         groups: dict = {}
-        for a, t, rl in self._succ(p, env):
+        for a, t, rl in self._derive(state, env):
+            if type(a) is BoundOutAct:
+                a = _named_output(state, a, rl)
+            elif type(t) is tuple:
+                t = _close(*t)
             group = groups.get(a)
             if group is None:
                 group = groups[a] = {}
-            t = canonicalize(t)
             if t not in group:
                 group[t] = rl
         trans = []
         for a in sorted(groups, key=_action_sort_key):
             group = groups[a]
-            targets = sorted(group, key=render) if len(group) > 1 else group
+            if type(a) is BoundOutAct:
+                targets = (sorted(group, key=lambda t: _text(t, a.objects))
+                           if len(group) > 1 else group)
+            else:
+                targets = sorted(group, key=render) if len(group) > 1 else group
+                for t in targets:
+                    _remember(t, "_nameless", None)
             trans.extend(Transition(a, t, group[t]) for t in targets)
         return tuple(trans)
+
+    def _inputs(self, env: frozenset[Name], arity: int) -> list[list[Name]]:
+        key = (env, arity)
+        hit = self._candidates.get(key)
+        if hit is None:
+            hit = self._candidates[key] = _input_candidates(env, arity)
+        return hit
 
     # _succ and _input_on derive premises first.  On a cache miss they
     # apply the rule in a loop on an explicit stack: a rule that finds a
@@ -348,172 +581,200 @@ class Engine:
     # derives it first, leftmost first, each after its own premises.
     # The premise of a nest of restrictions is the body below the last.
 
-    def _input_on(self, p: Process, subject: Name, objects: tuple[Name, ...]) -> list:
-        """Derivations of the input action ``subject?<objects>`` from ``p``."""
+    def _input_on(self, p: Process, subject, objects: tuple,
+                  env: frozenset[Name]) -> list:
+        """Derivations of the input action ``subject?<objects>`` from
+        ``p``, read where ``p`` stands; ``p`` and the nodes below it that
+        the rules reach were derived by ``_succ`` under ``env``."""
         cache = self._input_cache
-        hit = cache.get((p, subject, objects))
+        key = (p, subject, objects)
+        hit = cache.get(key)
         if hit is not None:
             return hit
-        todo = [p]
+        succ = self._succ_cache
+        todo = [key]
         while todo:
-            t = todo[-1]
+            key = todo[-1]
+            t, s, objs = key
             out: list[tuple[Process, tuple[str, ...]]] = []
             kind = type(t)
             if kind is Prefixed:
                 guards, core = prefix_chain(t.prefix)
-                if _guards_pass(guards) and type(core) is Receive and core.subject == subject:
-                    if len(core.binders) != len(objects):
-                        raise SortError(
-                            f"receive on {subject.ident!r} has arity {len(core.binders)}, "
-                            f"synchronization offers {len(objects)}")
-                    target = substitute(t.continuation, dict(zip(core.binders, objects)))
-                    out.append((target, ("match",) * len(guards) + ("in",)))
+                if type(core) is Receive and core.subject is s and _guards_pass(guards):
+                    if len(core.binders) != len(objs):
+                        raise _Clash(subject, len(core.binders), len(objs))
+                    out.append((_reindex(t.continuation, (objs,), -1),
+                                ("match",) * len(guards) + ("in",)))
             elif kind is Par:
                 l, r = t.left, t.right
-                ls = cache.get((l, subject, objects))
-                rs = cache.get((r, subject, objects))
+                lkey = rkey = None
+                ls = rs = ()
+                if s in succ[(l, env)][1]:
+                    lkey = (l, s, objs)
+                    ls = cache.get(lkey)
+                if s in succ[(r, env)][1]:
+                    rkey = (r, s, objs)
+                    rs = cache.get(rkey)
                 if ls is None or rs is None:
-                    todo += [q for q, d in ((r, rs), (l, ls)) if d is None]
+                    todo += [k for k, d in ((rkey, rs), (lkey, ls)) if d is None]
                     continue
                 for t2, rl in ls:
                     out.append((Par(t2, r), rl + ("par-l",)))
                 for t2, rl in rs:
                     out.append((Par(l, t2), rl + ("par-r",)))
             elif kind is Restrict:
-                ks, body = _nest(t)
-                if subject not in ks and not any(o in ks for o in objects):
-                    inner = cache.get((body, subject, objects))
-                    if inner is None:
-                        todo.append(body)
-                        continue
-                    res = ("res",) * len(ks)
-                    for t2, rl in inner:
-                        out.append((Restrict(ks, t2), rl + res))
-            elif kind is Repl:
-                inner = cache.get((t.body, subject, objects))
+                inner_key = (t.body, _shift(s, 1),
+                             tuple(_shift(o, 1) for o in objs))
+                inner = cache.get(inner_key)
                 if inner is None:
-                    todo.append(t.body)
+                    todo.append(inner_key)
+                    continue
+                n = len(t.channels)
+                res = ("res",) * n
+                for t2, rl in inner:
+                    out.append((_nest_over(n, t2), rl + res))
+            elif kind is Repl:
+                inner_key = (t.body, s, objs)
+                inner = cache.get(inner_key)
+                if inner is None:
+                    todo.append(inner_key)
                     continue
                 for t2, rl in inner:
                     out.append((Par(t2, t), rl + ("rep-act",)))
-            cache[(todo.pop(), subject, objects)] = out
-            while todo and (todo[-1], subject, objects) in cache:
+            cache[todo.pop()] = out
+            while todo and todo[-1] in cache:
                 todo.pop()  # a premise pushed twice
         return out
 
     def _succ(self, p: Process, env: frozenset[Name]) -> list:
         # A cache entry is (derivations, ready subjects); see the class
-        # docstring for the ready subjects.
+        # docstring for the ready subjects.  A derivation's action and
+        # target are read where its node stands.
         cache = self._succ_cache
         hit = cache.get((p, env))
         if hit is not None:
             return hit[0]
         todo = [p]
-        while todo:
-            p = todo[-1]
-            out: list[tuple[Action, Process, tuple[str, ...]]] = []
-            ready: tuple[Name, ...] = ()
-            kind = type(p)
-            if kind is Prefixed:
-                cont = p.continuation
-                guards, core = prefix_chain(p.prefix)
-                if _guards_pass(guards):
-                    rules = ("match",) * len(guards)
-                    if type(core) is Send:
-                        if core.subject.is_channel and all(o.is_channel for o in core.objects):
-                            out.append((OutAct(core.subject, core.objects), cont,
-                                        rules + ("out",)))
-                    else:
-                        ready = (core.subject,)
-                        if core.subject in env and core.subject.is_channel:
-                            # Exact, not a heuristic.  A free-input move only
-                            # travels upward: par-l/par-r, rep-act and res lift
-                            # it with its subject unchanged, and no rule
-                            # consumes one (comm and close derive their inputs
-                            # with _input_on).  env holds the top state's free
-                            # channels, so a subject outside env is bound by a
-                            # restriction on the way up, and res drops the move.
-                            cands = _input_candidates(env, len(core.binders))
-                            for tup in itertools.product(*cands):
-                                target = substitute(cont, dict(zip(core.binders, tup)))
-                                out.append((InAct(core.subject, tup), target,
-                                            rules + ("in",)))
-            elif kind is Par:
-                l, r = p.left, p.right
-                lhit = cache.get((l, env))
-                rhit = cache.get((r, env))
-                if lhit is None or rhit is None:
-                    todo += [q for q, d in ((r, rhit), (l, lhit)) if d is None]
-                    continue
-                ls, lready = lhit
-                rs, rready = rhit
-                for a, t, rl in ls:
-                    out.append((a, Par(t, r), rl + ("par-l",)))
-                for a, t, rl in rs:
-                    out.append((a, Par(l, t), rl + ("par-r",)))
-                if rready:
-                    for a, t, rl in ls:
-                        akind = type(a)
-                        if (akind is OutAct or akind is BoundOutAct) and a.subject in rready:
-                            for t2, rl2 in self._input_on(r, a.subject, a.objects):
-                                if akind is OutAct:
-                                    out.append((TAU, Par(t, t2), rl + rl2 + ("comm-l",)))
-                                else:
-                                    out.append((TAU, Restrict(a.bound, Par(t, t2)),
-                                                rl + rl2 + ("close-l",)))
-                if lready:
-                    for a, t, rl in rs:
-                        akind = type(a)
-                        if (akind is OutAct or akind is BoundOutAct) and a.subject in lready:
-                            for t2, rl2 in self._input_on(l, a.subject, a.objects):
-                                if akind is OutAct:
-                                    out.append((TAU, Par(t2, t), rl + rl2 + ("comm-r",)))
-                                else:
-                                    out.append((TAU, Restrict(a.bound, Par(t2, t)),
-                                                rl + rl2 + ("close-r",)))
-                ready = lready + rready
-            elif kind is Restrict:
-                ks, body = _nest(p)
-                hit = cache.get((body, env))
-                if hit is None:
-                    todo.append(body)
-                    continue
-                inner, ready = hit
-                kset = frozenset(ks)
-                if ready and not kset.isdisjoint(ready):
-                    ready = tuple(s for s in ready if s not in kset)
-                res = ("res",) * len(ks)
-                for a, t, rl in inner:
-                    if a is TAU or (a.subject not in kset and kset.isdisjoint(a.objects)):
-                        out.append((a, Restrict(ks, t), rl + res))
+        try:
+            while todo:
+                p = todo[-1]
+                out: list[tuple[Action, Process, tuple[str, ...]]] = []
+                ready: tuple = ()
+                kind = type(p)
+                if kind is Prefixed:
+                    cont = p.continuation
+                    guards, core = prefix_chain(p.prefix)
+                    if _guards_pass(guards):
+                        rules = ("match",) * len(guards)
+                        if type(core) is Send:
+                            if core.subject.is_channel and all(o.is_channel for o in core.objects):
+                                out.append((OutAct(core.subject, core.objects), cont,
+                                            rules + ("out",)))
+                        else:
+                            ready = (core.subject,)
+                            if core.subject in env and core.subject.is_channel:
+                                # Exact, not a heuristic.  A free-input move only
+                                # travels upward: par-l/par-r, rep-act and res lift
+                                # it with its subject unchanged, and no rule
+                                # consumes one (comm and close derive their inputs
+                                # with _input_on).  env holds the top state's free
+                                # channels, and a subject outside env is bound by
+                                # a restriction on the way up, so res drops the move.
+                                cands = self._inputs(env, len(core.binders))
+                                for tup in itertools.product(*cands):
+                                    out.append((InAct(core.subject, tup),
+                                                _reindex(cont, (tup,), -1),
+                                                rules + ("in",)))
+                elif kind is Par:
+                    l, r = p.left, p.right
+                    lhit = cache.get((l, env))
+                    rhit = cache.get((r, env))
+                    if lhit is None or rhit is None:
+                        todo += [q for q, d in ((r, rhit), (l, lhit)) if d is None]
                         continue
-                    moved = _through_nest(a, t, ks)
-                    if moved is not None:
-                        a, t, steps = moved
-                        out.append((a, t, rl + steps))
-            elif kind is Repl:
-                body = p.body
-                hit = cache.get((body, env))
-                if hit is None:
-                    todo.append(body)
-                    continue
-                inner, ready = hit
-                for a, t, rl in inner:
-                    out.append((a, Par(t, p), rl + ("rep-act",)))
-                if ready:
+                    ls, lready = lhit
+                    rs, rready = rhit
+                    for a, t, rl in ls:
+                        out.append((a, Par(_settled(t), r), rl + ("par-l",)))
+                    for a, t, rl in rs:
+                        out.append((a, Par(l, _settled(t)), rl + ("par-r",)))
+                    if rready:
+                        for a, t, rl in ls:
+                            akind = type(a)
+                            if (akind is OutAct or akind is BoundOutAct) and a.subject in rready:
+                                for t2, rl2 in self._input_on(r, a.subject, a.objects, env):
+                                    if akind is OutAct:
+                                        out.append((TAU, Par(t, t2), rl + rl2 + ("comm-l",)))
+                                    else:
+                                        out.append((TAU, (a.bound, Par(t, t2)),
+                                                    rl + rl2 + ("close-l",)))
+                    if lready:
+                        for a, t, rl in rs:
+                            akind = type(a)
+                            if (akind is OutAct or akind is BoundOutAct) and a.subject in lready:
+                                for t2, rl2 in self._input_on(l, a.subject, a.objects, env):
+                                    if akind is OutAct:
+                                        out.append((TAU, Par(t2, t), rl + rl2 + ("comm-r",)))
+                                    else:
+                                        out.append((TAU, (a.bound, Par(t2, t)),
+                                                    rl + rl2 + ("close-r",)))
+                    ready = lready + rready
+                elif kind is Restrict:
+                    body = p.body
+                    hit = cache.get((body, env))
+                    if hit is None:
+                        todo.append(body)
+                        continue
+                    inner, ready = hit
+                    if ready:
+                        ready = tuple(_shift(s, -1) for s in ready
+                                      if type(s) is not Idx or s.up)
+                    n = len(p.channels)
+                    res = ("res",) * n
                     for a, t, rl in inner:
-                        akind = type(a)
-                        if (akind is OutAct or akind is BoundOutAct) and a.subject in ready:
-                            for t2, rl2 in self._input_on(body, a.subject, a.objects):
-                                if akind is OutAct:
-                                    out.append((TAU, Par(Par(t, t2), p),
-                                                rl + rl2 + ("rep-comm",)))
-                                else:
-                                    out.append((TAU, Par(Restrict(a.bound, Par(t, t2)), p),
-                                                rl + rl2 + ("rep-close",)))
-            cache[(todo.pop(), env)] = (out, ready)
-            while todo and (todo[-1], env) in cache:
-                todo.pop()  # a premise pushed twice
+                        if a is TAU:
+                            if type(t) is tuple:
+                                # a close right below: its channels join
+                                # the nest, innermost
+                                bound, t = t
+                                t = _nest_over(n + len(bound), t, None, {
+                                    h.pos: Idx(CHAN, 0, n + i)
+                                    for i, h in enumerate(bound)})
+                            else:
+                                t = _nest_over(n, t)
+                            out.append((a, t, rl + res))
+                            continue
+                        moved = _through_nest(a, t, n)
+                        if moved is not None:
+                            a, t, steps = moved
+                            out.append((a, t, rl + steps))
+                elif kind is Repl:
+                    body = p.body
+                    hit = cache.get((body, env))
+                    if hit is None:
+                        todo.append(body)
+                        continue
+                    inner, ready = hit
+                    for a, t, rl in inner:
+                        out.append((a, Par(_settled(t), p), rl + ("rep-act",)))
+                    if ready:
+                        for a, t, rl in inner:
+                            akind = type(a)
+                            if (akind is OutAct or akind is BoundOutAct) and a.subject in ready:
+                                for t2, rl2 in self._input_on(body, a.subject, a.objects, env):
+                                    if akind is OutAct:
+                                        out.append((TAU, Par(Par(t, t2), p),
+                                                    rl + rl2 + ("rep-comm",)))
+                                    else:
+                                        out.append((TAU, Par(_close(a.bound, Par(t, t2)), p),
+                                                    rl + rl2 + ("rep-close",)))
+                cache[(todo.pop(), env)] = (out, ready)
+                while todo and (todo[-1], env) in cache:
+                    todo.pop()  # a premise pushed twice
+        except _Clash as clash:
+            if clash.at is None:
+                clash.at = p
+            raise
         return out
 
 
@@ -555,18 +816,19 @@ def normal_label(a: Action, avoid: set[str]) -> tuple[Action, Optional[dict]]:
 
 
 def _matching_targets(engine: Engine, state: Process, a: Action):
-    """The targets of ``state``'s transitions that match ``a``, in
-    :func:`successors` order.  A bound output matches up to the names it
-    binds (:func:`normal_label`) if none is free in the state, and the
-    target calls them as ``a`` does."""
+    """The targets of the nameless ``state``'s transitions that match
+    ``a``, in :func:`successors` order.  A bound output matches up to the
+    names it binds (:func:`normal_label`) if none is free in the state,
+    and the target calls them as ``a`` does."""
     free = free_names(state)
     avoid = {n.ident for n in free | action_names(a)}
     want, named = normal_label(a, avoid)
     # A bound name already free in the state is not fresh there.
     if named is not None and not free.isdisjoint(named):
         return
-    extra = [n for n in action_free(a) if n.is_channel]
-    for tr in engine.successors(state, extra):
+    env = (frozenset(n for n in free if n.is_channel)
+           | frozenset(n for n in action_free(a) if n.is_channel))
+    for tr in engine.transitions(state, env):
         got, m = normal_label(tr.action, avoid)
         if got is not want:
             continue
@@ -574,8 +836,8 @@ def _matching_targets(engine: Engine, state: Process, a: Action):
             yield tr.target
         else:
             requested = {b: n for n, b in named.items()}
-            yield canonicalize(substitute_free(
-                tr.target, {o: requested[b] for o, b in m.items()}))
+            yield _opened(tr.target,
+                          tuple(requested.get(m.get(o)) for o in tr.action.objects))
 
 
 def run_trace(p: Process, actions: Iterable[Action]) -> Process:
@@ -587,7 +849,7 @@ def run_trace(p: Process, actions: Iterable[Action]) -> Process:
     engine = Engine()
     # paths[i] yields the candidate states after i actions; a state is
     # tried once per step.
-    paths = [iter((canonicalize(p),))]
+    paths = [iter((nameless(p),))]
     tried: set = set()
     deepest = 0
     while paths:
@@ -596,7 +858,7 @@ def run_trace(p: Process, actions: Iterable[Action]) -> Process:
         if state is None:
             paths.pop()
         elif i == len(actions):
-            return state
+            return canonicalize(state)
         elif (i, state) not in tried:
             tried.add((i, state))
             deepest = max(deepest, i)
@@ -617,21 +879,23 @@ class TauReachable:
 
 
 def tau_levels(p: Process, budget: int, engine: Optional[Engine] = None):
-    """Yield the new canonical states found at each tau depth 0..budget.
+    """Yield the new nameless states found at each tau depth 0..budget,
+    each level in the order of their rendered texts.
 
     ``engine`` lets the caller share one engine with later work on the
     same query; by default the closure gets its own.
     """
     if engine is None:
         engine = Engine()
-    state = canonicalize(p)
+    state = nameless(p)
     seen = {state}
     frontier = [state]
+    none = frozenset()
     yield [state]
     for _ in range(budget):
         nxt = []
         for s in frontier:
-            for tr in engine.successors(s, include_inputs=False):
+            for tr in engine.transitions(s, none):
                 if tr.action is TAU and tr.target not in seen:
                     seen.add(tr.target)
                     nxt.append(tr.target)
@@ -652,7 +916,7 @@ def tau_reachable(p: Process, budget: int) -> TauReachable:
     if len(levels) == budget + 1:
         for s in levels[-1]:
             if any(tr.action is TAU and tr.target not in states
-                   for tr in engine.successors(s, include_inputs=False)):
+                   for tr in engine.transitions(s, frozenset())):
                 exceeded = True
                 break
-    return TauReachable(states, budget, exceeded)
+    return TauReachable(frozenset(map(canonicalize, states)), budget, exceeded)

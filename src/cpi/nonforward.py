@@ -3,7 +3,7 @@
 A process forwards when some trace receives a channel that was not free
 beforehand and later emits that channel as an output object.  The
 analyzer explores all traces up to a depth bound, breadth-first, with
-canonical-state deduplication; its last level reads only the labels of
+nameless-state deduplication; its last level reads only the labels of
 its states, since their targets would start a level that is never
 searched, and a satisfied verdict covers the same traces as a full
 expansion would.  Confidential-fragment membership gives the same
@@ -17,11 +17,11 @@ from typing import Optional
 
 from .bisim import Verdict, check
 from .lts import (
-    Action, BoundOutAct, Engine, InAct, OutAct, _action_sort_key,
+    Action, BoundOutAct, Engine, InAct, OutAct, _action_sort_key, _opened,
     action_bound, action_to_json,
 )
 from .syntax import (
-    CpiError, Name, Process, ValidationReport, canonicalize, free_names,
+    CpiError, Name, Process, ValidationReport, free_names, nameless,
     validate_cpi,
 )
 
@@ -85,7 +85,7 @@ def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     engine = Engine()
-    root = canonicalize(p)
+    root = nameless(p)
     # node: (state, watched: tuple[(channel, receive_index)], trace,
     #        the _action_sort_key of each action of trace)
     frontier = [(root, (), (), ())]
@@ -95,25 +95,30 @@ def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
         for state, watched, trace, order in frontier:
             free = free_names(state)
             watch_map = dict(watched)
-            for tr in engine.successors(state):
+            env = frozenset(n for n in free if n.is_channel)
+            for tr in engine.transitions(state, env):
+                act, target = tr.action, tr.target
                 if watched:  # nothing to forward otherwise
-                    violation = _forwarded(tr.action, watch_map, trace)
+                    violation = _forwarded(act, watch_map, trace)
                     if violation is not None:
                         return NFVerdict(False, depth, violation)
                 new_watch = watched
-                if type(tr.action) is InAct:
+                kind = type(act)
+                if kind is InAct:
                     extra = tuple(
-                        (o, len(trace)) for o in tr.action.objects
+                        (o, len(trace)) for o in act.objects
                         if o.is_channel and o not in free and o not in watch_map)
                     if extra:
                         new_watch = tuple(sorted(
                             set(watched) | set(extra),
                             key=lambda kv: (kv[0].ident, kv[1])))
-                key = (tr.target, new_watch)
+                elif kind is BoundOutAct:
+                    target = _opened(target, act.objects)
+                key = (target, new_watch)
                 if key not in seen:
                     seen.add(key)
-                    nxt.append((tr.target, new_watch, trace + (tr.action,),
-                                order + (_action_sort_key(tr.action),)))
+                    nxt.append((target, new_watch, trace + (act,),
+                                order + (_action_sort_key(act),)))
         nxt.sort(key=lambda node: node[3])
         frontier = nxt
         if not frontier:
@@ -124,7 +129,8 @@ def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
         # state's labels are derived, watched or not, so a sort error in
         # the last step is raised as on full successors.
         for state, watched, trace, _ in frontier:
-            acts = engine.labels(state)
+            acts = engine.actions(state, frozenset(
+                n for n in free_names(state) if n.is_channel))
             if not watched:
                 continue
             watch_map = dict(watched)

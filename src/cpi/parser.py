@@ -28,12 +28,14 @@ is linear in the size of a chain.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .syntax import (
     CHAN, VAR, CpiError, CpiViolation, Name, NIL, Nil, Par, Prefix, Prefixed,
-    Process, Receive, Repl, Restrict, Send, SortError, _remember,
-    _rollback, canonicalize, prefix_chain, validate_cpi, wrap_matches,
+    Process, Receive, Repl, Restrict, Send, SortError, _avoided, _idents,
+    _remember, _rollback, canonicalize, prefix_chain, validate_cpi,
+    wrap_matches,
 )
 
 CPI = "cpi"
@@ -274,7 +276,9 @@ def _extends_right(p: Process) -> bool:
 
 
 def _render_prefix(pre: Prefix) -> str:
-    """The text of ``pre``, kept on the prefix node."""
+    """The text of ``pre`` with each name printed as its identifier, kept
+    on the prefix node unless an index (which prints with a ``^``) is
+    among them."""
     text = getattr(pre, "_text", None)
     if text is not None:
         return text
@@ -284,7 +288,8 @@ def _render_prefix(pre: Prefix) -> str:
         text += f"{core.subject.ident}!<{','.join(o.ident for o in core.objects)}>"
     else:
         text += f"{core.subject.ident}?({','.join(b.ident for b in core.binders)})"
-    _remember(pre, "_text", text)
+    if "^" not in text:
+        _remember(pre, "_text", text)
     return text
 
 
@@ -300,25 +305,77 @@ def render(p: Process) -> str:
     ``!``.  So each character of the text is kept once for ``p`` and once
     more for each ``|`` component it lies in, however long the chains.
     Only those nodes are asked for a kept text: on a fresh term every such
-    probe misses."""
-    text = getattr(p, "_text", None)
+    probe misses.
+
+    A nameless term (see :class:`~cpi.syntax.Idx`) is printed as its
+    canonical form is, without building that form: the walk names each
+    binder group as it enters it, by the numbering of
+    :func:`~cpi.syntax.canonicalize`.  A text in which an index was
+    named depends on where its node sits, so it is kept only on the node
+    asked for, as the text of that node printed whole."""
+    return _text(p)
+
+
+def _text(p: Process, holes: tuple = ()) -> str:
+    """:func:`render`, with hole ``i`` of a bound output's target named
+    ``holes[i]``."""
+    text = getattr(p, "_text", None) if not holes else None
     if text is not None:
-        return text
+        return text if type(text) is str else text[0]
     parts: list[str] = []
-    # What is left to print, last first: a string, a process, or the
-    # (node, start) of a process to keep, whose text starts at parts[start].
-    todo: list = [(p, 0)]
+    # The names of the binder groups in scope, innermost last; the
+    # numbers they are named by; and the count of indices named so far,
+    # by which a text that named one is not kept.
+    groups: list[tuple[str, ...]] = []
+    numbers = None
+    named = 0
+
+    def ident(n) -> str:
+        nonlocal named
+        if type(n) is Name:
+            return n.ident
+        named += 1
+        return holes[n.pos].ident if n.up < 0 else groups[-1 - n.up][n.pos]
+
+    def enter(group) -> tuple[str, ...]:
+        nonlocal numbers, named
+        if type(group[0]) is Name:
+            return tuple(b.ident for b in group)
+        if numbers is None:
+            numbers = _idents("#", _avoided(p, holes), itertools.count())
+        named += 1
+        group = tuple(next(numbers) for _ in group)
+        groups.append(group)
+        return group
+
+    # What is left to print, last first: a string, the right component
+    # of a '|' (as ``[process, scope]`` when a group is in scope there),
+    # or the (node, start, named) of a process to keep, whose text starts
+    # at parts[start].
+    todo: list = [(p, 0, 0)] if not holes else []
     t, keep = p, False
     while True:
         text = getattr(t, "_text", None) if keep else None
-        if text is not None:
+        if type(text) is str:
             parts.append(text)
         else:
             if keep:
-                todo.append((t, len(parts)))
+                todo.append((t, len(parts), named))
             kind = type(t)
             if kind is Prefixed:
-                parts.append(_render_prefix(t.prefix))
+                pre = t.prefix
+                text = _render_prefix(pre)
+                if "^" in text:
+                    # an index printed as itself: name it in scope
+                    guards, core = prefix_chain(pre)
+                    text = "".join(f"[{ident(a)}={ident(b)}]" for a, b in guards)
+                    if type(core) is Send:
+                        text += (f"{ident(core.subject)}!<"
+                                 f"{','.join(map(ident, core.objects))}>")
+                    else:
+                        subject = ident(core.subject)
+                        text += f"{subject}?({','.join(enter(core.binders))})"
+                parts.append(text)
                 t, keep = t.continuation, False
                 if type(t) is Par:
                     parts.append(".(")
@@ -328,7 +385,9 @@ def render(p: Process) -> str:
                 continue
             if kind is Par:
                 l, r = t.left, t.right
-                if type(r) is Par:
+                if groups:
+                    r = [r, len(groups)]
+                if type(t.right) is Par:
                     todo += (")", r, " | (")
                 else:
                     todo += (r, " | ")
@@ -338,10 +397,10 @@ def render(p: Process) -> str:
                 t, keep = l, type(l) is not Par
                 continue
             if kind is Restrict:
-                names = [k.ident for k in t.channels]
+                names = list(enter(t.channels))
                 t = t.body
                 while type(t) is Restrict:
-                    names.extend(k.ident for k in t.channels)
+                    names.extend(enter(t.channels))
                     t = t.body
                 parts.append(f"new {','.join(names)} in ")
                 keep = False
@@ -360,13 +419,23 @@ def render(p: Process) -> str:
             if kind is str:
                 parts.append(item)
             elif kind is tuple:
-                node, start = item
+                node, start, before = item
                 text = "".join(parts[start:])
                 parts[start:] = (text,)
-                _remember(node, "_text", text)
+                if named == before:
+                    _remember(node, "_text", text)
+                elif node is p:
+                    # the text of ``p`` as a whole, not as a part
+                    _remember(node, "_text", (text,))
             else:
                 # a right component of '|', kept unless itself a '|'
+                if kind is list:
+                    item, scope = item
+                    del groups[scope:]
+                    kind = type(item)
+                elif groups:
+                    groups.clear()
                 t, keep = item, kind is not Par
                 break
         else:
-            return parts[0]
+            return "".join(parts)

@@ -220,6 +220,49 @@ def var(ident: str) -> Name:
     return Name(VAR, ident)
 
 
+class Idx(_Node):
+    """A bound name without a name (de Bruijn, *Lambda calculus notation
+    with nameless dummies*, 1972): ``up`` counts the binder groups (a
+    receive's binders, the channels of a nest of restrictions) that lie
+    between the occurrence and its binder, 0 for the nearest, and ``pos``
+    is its place in that group.  A binder group is written with the indices its scope
+    reads just inside it (:func:`_group`).  ``up`` is -1 for a hole: the
+    name that is object ``pos`` of a bound output, as the output's target
+    calls it until a client names it.
+
+    Terms whose binders are indices are *nameless*: alpha-equivalent
+    nameless terms are the same node, and only free names stay
+    :class:`Name` s.  A nameless nest of restrictions is one node, whose
+    body is not a restriction.  :func:`nameless` makes one, :func:`canonicalize` and
+    ``parser.render`` name one as the canonical form is named."""
+
+    __slots__ = __match_args__ = ("kind", "up", "pos")
+
+    @property
+    def is_channel(self) -> bool:
+        return self.kind == CHAN
+
+    @property
+    def ident(self) -> str:
+        # Read by an action's sort key inside the rule engine (a
+        # transition handed to a client names its actions first), and by
+        # parser.render, which names a prefix printed with a '^'.
+        return f"^{self.up}.{self.pos}"
+
+
+# The binder groups of nameless terms by kind and size, kept alive here.
+_GROUPS: dict[tuple[str, int], tuple] = {}
+
+
+def _group(kind: str, size: int) -> tuple:
+    """The binder group of a nameless receive (``VAR``) or nest of
+    restrictions (``CHAN``) of ``size`` names."""
+    group = _GROUPS.get((kind, size))
+    if group is None:
+        group = _GROUPS[kind, size] = tuple(Idx(kind, 0, i) for i in range(size))
+    return group
+
+
 # ---------------------------------------------------------------------------
 # Prefixes and processes
 
@@ -261,8 +304,8 @@ Prefix = Union[Send, Receive, Match]
 
 class _Process(_Node):
     # Memoised per node: _free by free_names and canonicalize, _canonical
-    # by canonicalize, _text by parser.render.
-    __slots__ = ("_free", "_canonical", "_text")
+    # by canonicalize, _nameless by nameless, _text by parser.render.
+    __slots__ = ("_free", "_canonical", "_nameless", "_text")
 
 
 class Nil(_Process):
@@ -337,9 +380,9 @@ def wrap_matches(guards: Iterable[tuple[Name, Name]], core: Prefix) -> Prefix:
 # its length at a '|' before the right is walked.  A walk that builds a
 # term pushes one-hole contexts on the way down and fills them on the way
 # up (_fill): a prefix, for ``prefix.hole``, or one of these tuples.
-# canonicalize's walk (_renumber) fills its own contexts in the same
-# loop, each keeping the node it came from, so that a node whose parts
-# come back unchanged is reused.  A function that would call itself on
+# canonicalize's walk (_renumber) and the walk of nameless terms (_walk)
+# fill their own contexts in the same loop, each keeping the node it came
+# from, so that a node whose parts come back unchanged is reused.  A function that would call itself on
 # anything else, a round of the bisimulation game or a subterm of the
 # random generator, is a generator run by ``drive``.
 _RIGHT = 0      # (_RIGHT, right, mark): the right of a '|', still to walk
@@ -414,15 +457,15 @@ def _fill(todo: list, out: Process, env: dict,
 
 
 # What a walk of _names collects.
-_FREE, _FNN, _OUTPUTS, _BOUND = "free", "fnn", "outputs", "bound"
+_FNN, _OUTPUTS, _BOUND = "fnn", "outputs", "bound"
 
 
 def _names(p: Process, what: str) -> frozenset[Name]:
     """The names of ``p`` that ``what`` asks for: those with a free
-    occurrence (``_FREE``), those but for the names of reflexive guards
-    (``_FNN``), the free channels that sends output (``_OUTPUTS``), or
-    the binders (``_BOUND``).  ``env`` holds the binders in scope."""
-    free = what is _FREE or what is _FNN
+    occurrence but for the names of reflexive guards (``_FNN``), the
+    free channels that sends output (``_OUTPUTS``), or the binders
+    (``_BOUND``).  ``env`` holds the binders in scope."""
+    free = what is _FNN
     out: set[Name] = set()
     env: dict[Name, bool] = {}
     trail: list = []
@@ -436,7 +479,7 @@ def _names(p: Process, what: str) -> frozenset[Name]:
                 pre = t.prefix
                 names = []
                 while type(pre) is Match:
-                    if free and (what is _FREE or pre.lhs is not pre.rhs):
+                    if free and pre.lhs is not pre.rhs:
                         names += (pre.lhs, pre.rhs)
                     pre = pre.inner
                 if type(pre) is Send:
@@ -476,12 +519,66 @@ def _names(p: Process, what: str) -> frozenset[Name]:
 
 
 def free_names(p: Process) -> frozenset[Name]:
-    """Names with a free occurrence in ``p`` (channels and variables)."""
+    """Names with a free occurrence in ``p`` (channels and variables).
+
+    Each node keeps its set, made from its parts' sets, so a term built
+    from parts already asked costs one step per new node: a target that
+    the rule engine built around its source's subterms costs the nodes
+    of its derivation path.  An index is never free.  The nodes below
+    ``p`` that keep no set yet are done first, on an explicit stack."""
     free = getattr(p, "_free", None)
-    if free is None:
-        free = _names(p, _FREE)
-        _remember(p, "_free", free)
-    return free
+    if free is not None:
+        return free
+    todo = [p]
+    while todo:
+        t = todo[-1]
+        if getattr(t, "_free", None) is not None:
+            todo.pop()
+            continue
+        kind = type(t)
+        if kind is Prefixed:
+            rest = t.continuation
+        elif kind is Par:
+            rest = t.left
+            right = t.right
+            rf = getattr(right, "_free", None)
+            if rf is None:
+                todo.append(right)
+                continue
+        elif kind is Restrict or kind is Repl:
+            rest = t.body
+        elif kind is Nil:
+            _remember(t, "_free", frozenset())
+            todo.pop()
+            continue
+        else:
+            raise TypeError(t)
+        free = getattr(rest, "_free", None)
+        if free is None:
+            todo.append(rest)
+            continue
+        if kind is Prefixed:
+            pre = t.prefix
+            names = []
+            while type(pre) is Match:
+                names += (pre.lhs, pre.rhs)
+                pre = pre.inner
+            names.append(pre.subject)
+            if type(pre) is Send:
+                names += pre.objects
+            elif free and type(pre.binders[0]) is Name:
+                free = free.difference(pre.binders)
+            names = [n for n in names if type(n) is Name and n not in free]
+            if names:
+                free = free.union(names)
+        elif kind is Par:
+            if not rf <= free:
+                free = rf if free <= rf else free | rf
+        elif kind is Restrict and free and type(t.channels[0]) is Name:
+            free = free.difference(t.channels)
+        _remember(t, "_free", free)
+        todo.pop()
+    return p._free
 
 
 def bound_names(p: Process) -> frozenset[Name]:
@@ -573,15 +670,6 @@ def substitute(p: Process, sigma: Mapping[Name, Name]) -> Process:
             raise TypeError(t)
 
 
-def substitute_free(p: Process, sigma: Mapping[Name, Name]) -> Process:
-    """Like :func:`substitute`, but the domain is first cut down to the
-    names actually free in ``p``, so incidental binder shadowing in the
-    wider term cannot trip the domain check."""
-    fn = free_names(p)
-    cut = {k: v for k, v in sigma.items() if k in fn}
-    return substitute(p, cut) if cut else p
-
-
 def _rebind(binders: tuple[Name, ...], m: dict[Name, Name],
             domain: frozenset[Name], scope: Process,
             trail: list) -> tuple[Name, ...]:
@@ -632,11 +720,20 @@ def canonicalize(p: Process) -> Process:
     their :func:`free_names`.  Only when a free identifier is ``#k``
     with ``k`` below the count of numbers used can the numbering have
     captured it, and only then does a second walk skip the free
-    identifiers.
+    identifiers.  A nameless ``p`` (see :class:`Idx`) is named in one
+    walk, its free names known, each time it is asked.
     """
     c = getattr(p, "_canonical", _UNSET)
     if c is _UNSET:
-        c, free, used = _renumber(p, set())
+        walked = _renumber(p, set())
+        if walked is None:
+            # Not kept on ``p``: the canonical form may keep ``p`` as its
+            # nameless form, and nodes must not make a reference cycle.
+            c = _name(p)
+            _remember(c, "_free", free_names(p))
+            _remember(c, "_canonical", None)
+            return c
+        c, free, used = walked
         free = frozenset(free)
         if _may_collide((n.ident for n in free), used):
             c = _renumber(p, {n.ident for n in free})[0]
@@ -674,7 +771,8 @@ def _renumber(t: Process, avoid: set[str]) -> tuple[Process, set[Name], int]:
     mark to roll back to.  A renamed prefix is pushed alone.  A node
     whose parts come back as the very objects it holds is its own copy,
     with no table lookup, so an already canonical term is rebuilt
-    nowhere.  Every node is still visited."""
+    nowhere.  Every node is still visited.  None if ``t`` is nameless:
+    its first binder is an index."""
     counter = itertools.count()
     numbers = _idents("#", avoid, counter)
     free: set[Name] = set()
@@ -722,6 +820,8 @@ def _renumber(t: Process, avoid: set[str]) -> tuple[Process, set[Name], int]:
                     core = Send(s2, objs)
             elif kind is Receive:
                 bs = []
+                if type(core.binders[0]) is Idx:
+                    return None
                 for b in core.binders:
                     trail.append((b, env.get(b)))
                     env[b] = nb = Name(VAR, next(numbers))
@@ -742,6 +842,8 @@ def _renumber(t: Process, avoid: set[str]) -> tuple[Process, set[Name], int]:
             t = t.left
             continue
         if kind is Restrict:
+            if type(t.channels[0]) is Idx:
+                return None
             # one restriction per channel
             for k in t.channels:
                 trail.append((k, env.get(k)))
@@ -785,6 +887,276 @@ def _renumber(t: Process, avoid: set[str]) -> tuple[Process, set[Name], int]:
             out = node
         else:
             return out, free, next(counter)
+
+
+# ---------------------------------------------------------------------------
+# Nameless terms
+#
+# A nameless term (see Idx) is rebuilt by one walk, _walk, under one of
+# three scopes: _convert makes it from a named term, _reindex moves one
+# across binders or fills its holes, and _name names it as canonicalize
+# names.  A scope is four functions over the walk's state: ``enter``
+# opens a binder group over its scope and gives the group the copy
+# binds, ``name`` maps a name in scope, and ``mark``/``restore`` save
+# and return to the scope at a '|'.
+
+
+def _walk(t: Process, enter, name, mark, restore) -> Process:
+    """The copy of ``t`` under a scope, in the traversal discipline.  A
+    named nest of restrictions is entered as one group; a group that
+    comes out named is restricted one channel each, as canonical forms
+    are.  Each context on ``todo`` keeps the node it came from, as in
+    :func:`_renumber`: a node whose parts come back as the very objects
+    it holds is its own copy."""
+    todo: list = []
+    while True:
+        kind = type(t)
+        if kind is Prefixed:
+            pre = core = t.prefix
+            guards = None
+            while type(core) is Match:
+                if guards is None:
+                    guards = []
+                guards.append((name(core.lhs), name(core.rhs)))
+                core = core.inner
+            inner = core
+            s = name(core.subject)
+            if type(core) is Send:
+                objs = tuple(map(name, core.objects))
+                if s is not core.subject or objs != core.objects:
+                    core = Send(s, objs)
+            else:
+                bs = enter(core.binders)
+                if s is not core.subject or bs != core.binders:
+                    core = Receive(s, bs)
+            if guards is not None:
+                g = pre
+                same = core is inner
+                for a, b in guards:
+                    if a is not g.lhs or b is not g.rhs:
+                        same = False
+                        break
+                    g = g.inner
+                core = pre if same else wrap_matches(guards, core)
+            todo.append(t if core is pre else core)
+            t = t.continuation
+        elif kind is Par:
+            todo.append([t, mark()])
+            t = t.left
+        elif kind is Restrict:
+            ks, body = t.channels, t.body
+            if type(body) is Restrict and type(ks[0]) is Name:
+                ks = list(ks)
+                while type(body) is Restrict:
+                    ks += body.channels
+                    body = body.body
+            todo.append((t, enter(tuple(ks))))
+            t = body
+        elif kind is Repl:
+            todo.append(t)
+            t = t.body
+        elif kind is Nil:
+            out = t
+            while todo:
+                node = todo.pop()
+                kind = type(node)
+                if kind is Prefixed:
+                    if out is not node.continuation:
+                        node = Prefixed(node.prefix, out)
+                elif kind is tuple:
+                    node, part = node
+                    if type(node) is Par:
+                        if part is not node.left or out is not node.right:
+                            node = Par(part, out)
+                    elif type(part[0]) is Idx or len(part) == 1:
+                        if out is not node.body or part != node.channels:
+                            node = Restrict(part, out)
+                    else:
+                        for k in reversed(part):
+                            out = Restrict((k,), out)
+                        node = out
+                elif kind is list:
+                    node, m = node
+                    restore(m)
+                    todo.append((node, out))
+                    t = node.right
+                    break
+                elif kind is Repl:
+                    if out is not node.body:
+                        node = Repl(out)
+                else:
+                    node = Prefixed(node, out)
+                out = node
+            else:
+                return out
+        else:
+            raise TypeError(t)
+
+
+def nameless(p: Process) -> Process:
+    """The nameless form of ``p``: each bound occurrence an :class:`Idx`,
+    each nest of restrictions one node.  Alpha-equivalent terms have the
+    same nameless form, and a nameless term is its own."""
+    n = getattr(p, "_nameless", _UNSET)
+    if n is _UNSET:
+        n, free = _convert(p)
+        free = frozenset(free)
+        _remember(p, "_free", free)
+        if n is not p:
+            _remember(p, "_nameless", n)
+            _remember(n, "_free", free)
+        _remember(n, "_nameless", None)
+        return n
+    return p if n is None else n
+
+
+def _convert(p: Process) -> tuple[Process, set[Name]]:
+    """The walk of :func:`nameless`, and the free names it met.  ``env``
+    maps each named binder in scope to its group's depth and its place
+    in the group; ``depth`` counts the groups in scope.  An index of an
+    already nameless part is kept."""
+    env: dict[Name, tuple[int, int]] = {}
+    trail: list = []
+    free: set[Name] = set()
+    depth = 0
+
+    def enter(group):
+        nonlocal depth
+        if type(group[0]) is Name:
+            for i, b in enumerate(group):
+                trail.append((b, env.get(b)))
+                env[b] = (depth, i)
+            group = _group(group[0].kind, len(group))
+        depth += 1
+        return group
+
+    def name(n):
+        if type(n) is Name:
+            at = env.get(n)
+            if at is None:
+                free.add(n)
+            else:
+                n = Idx(n.kind, depth - at[0] - 1, at[1])
+        return n
+
+    def mark():
+        return len(trail), depth
+
+    def restore(m):
+        nonlocal depth
+        _rollback(env, trail, m[0])
+        depth = m[1]
+
+    return _walk(p, enter, name, mark, restore), free
+
+
+def _reindex(t: Process, levels: tuple = (), shift: int = 0,
+             holes=None) -> Process:
+    """``t`` with its dangling indices and holes replaced.  An index that
+    leaves ``t`` by ``j`` groups takes ``levels[j][pos]`` while ``j <
+    len(levels)``, and crosses ``shift`` more groups beyond; hole ``pos``
+    takes ``holes[pos]`` (a tuple or a dict), or stays without
+    ``holes``.  A replacement is read at the top of ``t``: an index in
+    it is raised by the depth at which it lands."""
+    depth = 0
+    reach = len(levels)
+
+    def enter(group):
+        nonlocal depth
+        depth += 1
+        return group
+
+    def name(n):
+        if type(n) is Name:
+            return n
+        up = n.up
+        if up < 0:
+            if holes is None:
+                return n
+            r = holes[n.pos]
+        else:
+            j = up - depth
+            if j < 0:
+                return n
+            if j >= reach:
+                return Idx(n.kind, up + shift, n.pos) if shift else n
+            r = levels[j][n.pos]
+        if type(r) is Name or r.up < 0 or not depth:
+            return r
+        return Idx(r.kind, r.up + depth, r.pos)
+
+    def mark():
+        return depth
+
+    def restore(m):
+        nonlocal depth
+        depth = m
+
+    return _walk(t, enter, name, mark, restore)
+
+
+def _holes(t: Process) -> set[int]:
+    """The places of the holes that occur in ``t``."""
+    out = set()
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is Prefixed:
+            pre = t.prefix
+            names = []
+            while type(pre) is Match:
+                names += (pre.lhs, pre.rhs)
+                pre = pre.inner
+            names.append(pre.subject)
+            if type(pre) is Send:
+                names += pre.objects
+            out.update(n.pos for n in names if type(n) is Idx and n.up < 0)
+            todo.append(t.continuation)
+        elif kind is Par:
+            todo += (t.right, t.left)
+        elif kind is Restrict or kind is Repl:
+            todo.append(t.body)
+    return out
+
+
+def _avoided(t: Process, holes: tuple) -> set[str]:
+    """The identifiers that the numbering of the nameless ``t`` skips:
+    those of its free names, a hole ``i`` that occurs being the free
+    name ``holes[i]``."""
+    avoid = {n.ident for n in free_names(t)}
+    if holes:
+        avoid.update(holes[i].ident for i in _holes(t))
+    return avoid
+
+
+def _name(t: Process, holes: tuple = ()) -> Process:
+    """The canonical form of the nameless ``t``: binders numbered in
+    traversal order, skipping the identifiers free in ``t``, where hole
+    ``i`` is the free name ``holes[i]``."""
+    avoid = _avoided(t, holes)
+    numbers = _idents("#", avoid, itertools.count())
+    groups: list[tuple[Name, ...]] = []
+
+    def enter(group):
+        group = tuple(Name(b.kind, next(numbers)) for b in group)
+        groups.append(group)
+        return group
+
+    def name(n):
+        if type(n) is Name:
+            return n
+        if n.up < 0:
+            return holes[n.pos]
+        return groups[-1 - n.up][n.pos]
+
+    def mark():
+        return len(groups)
+
+    def restore(m):
+        del groups[m:]
+
+    return _walk(t, enter, name, mark, restore)
 
 
 def alpha_equivalent(p: Process, q: Process) -> bool:

@@ -245,6 +245,13 @@ def naive_transitions(p: Process, env: set[Name]) -> set[tuple]:
         else:
             inner = p.body
         k = p.channels[0]
+        if k.ident in {n.ident for n in env}:
+            # alpha-convert the binder away from the names an input may
+            # bring in: the environment and, at a synchronization, the
+            # partner's objects
+            fresh = _naive_fresh(CHAN)
+            inner = naive_subst(inner, {k: fresh})
+            k = fresh
         for lab, t in naive_transitions(inner, env):
             mentioned = set()
             if lab[0] != "tau":

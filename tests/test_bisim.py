@@ -5,9 +5,11 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cpi
 from cpi.bisim import (
     ConstructionError, Verdict, _Game, check, check_proposition1_instance,
     law_suite,
@@ -17,7 +19,7 @@ from cpi.lts import BoundOutAct, Engine, InAct, OutAct, TauAct
 from cpi.parser import PI, parse
 from cpi.syntax import (
     NIL, Par, Prefixed, Receive, Restrict, Send, SortError, canonicalize,
-    chan, free_names, substitute_free, var,
+    chan, free_names, substitute, var,
 )
 
 
@@ -156,6 +158,40 @@ def test_lost_chain_memo_holds_one_move_per_round():
     assert check(p, q, n) == Verdict(False, n, (move,) * n)
 
 
+def _cpi_lines(call):
+    """The number of lines of ``cpi`` code that ``call()`` executes."""
+    count = 0
+    package = str(Path(cpi.__file__).parent)
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_chain_game_is_linear():
+    # each round of the game along a chain of sends moves to a subterm
+    # that is already a state, so no round walks the rest of the chain:
+    # twice the chain is twice the work, counted in executed lines
+    def play(n):
+        p = parse("a!<b>." * n + "0")
+        return _cpi_lines(lambda: check(p, Par(p, NIL), n))
+
+    ratio = play(2000) / play(1000)
+    assert 1.8 < ratio < 2.2, ratio
+
+
 def test_memoization_consistency():
     # the same pair at different entry depths must agree on the verdict
     rng = random.Random(11)
@@ -208,7 +244,8 @@ def reference_check(p, q, depth):
                 m = dict(zip(a.bound, fresh))
                 a = BoundOutAct(a.subject, tuple(m.get(o, o) for o in a.objects),
                                 tuple(fresh))
-                t = canonicalize(substitute_free(t, m))
+                fn = free_names(t)
+                t = canonicalize(substitute(t, {k: v for k, v in m.items() if k in fn}))
             out.append((a, t))
         return out
 

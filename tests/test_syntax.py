@@ -25,7 +25,8 @@ from cpi.syntax import (
     Match, NIL, Name, Nil, Par, Prefixed, Receive, Repl, Restrict, Send,
     SubstitutionDomainError, ValidationReport, Violation, _renumber,
     alpha_equivalent, bound_names, canonicalize, chan, fnn, free_names,
-    free_output_objects, par, prefix_chain, substitute, validate_cpi, var,
+    free_output_objects, nameless, par, prefix_chain, substitute,
+    validate_cpi, var,
 )
 
 CORPUS_SCRIPTS = sorted(
@@ -569,6 +570,27 @@ def test_canonicalize_agrees_with_two_walks():
         seen["shadowing"] += _shadows(p)
         seen["encoded"] += "#n_" in render(p)
     assert seen["walked"] >= 1000 and min(seen.values()) >= 40, seen
+
+
+def test_nameless_form_names_back_to_the_canonical_form():
+    # alpha-equivalent terms have one nameless form, and naming it gives
+    # the canonical form and its text, numbered past the free '#k' names;
+    # the forms keep no reference cycle for the cyclic GC to free
+    cases = list(itertools.islice(_canonicalize_cases(), 1500))
+    gc.collect()
+    gc.disable()
+    try:
+        for p in cases:
+            c = canonicalize(p)
+            n = nameless(p)
+            assert nameless(c) is n and nameless(n) is n, render(p)
+            assert free_names(n) == free_names(c), render(p)
+            assert render(n) == render(c), render(p)
+            assert canonicalize(n) is c, render(p)
+        del p, c, n, cases
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Optional, Union
 
-from .parser import _text, render
+from .parser import _render, render
 from .syntax import (
     CHAN, CpiError, Idx, Name, Par, Prefixed, Process, Receive, Repl,
     Restrict, Send, SortError, _group, _idents, _name, _Node, _reindex,
@@ -256,8 +256,7 @@ def _through_nest(a: Action, t: Process, n: int):
             a = (BoundOutAct(s, moved, a.bound) if kind is BoundOutAct
                  else kind(s, moved))
         return a, _nest_over(n, t), ("res",) * n
-    if kind is InAct:
-        return None
+    # An input's objects are free names: only outputs open.
     level = []
     kept = 0
     for j in range(n):
@@ -559,7 +558,7 @@ class Engine:
         for a in sorted(groups, key=_action_sort_key):
             group = groups[a]
             if type(a) is BoundOutAct:
-                targets = (sorted(group, key=lambda t: _text(t, a.objects))
+                targets = (sorted(group, key=lambda t: _render(t, a.objects))
                            if len(group) > 1 else group)
             else:
                 targets = sorted(group, key=render) if len(group) > 1 else group

@@ -313,10 +313,10 @@ def render(p: Process) -> str:
     :func:`~cpi.syntax.canonicalize`.  A text in which an index was
     named depends on where its node sits, so it is kept only on the node
     asked for, as the text of that node printed whole."""
-    return _text(p)
+    return _render(p)
 
 
-def _text(p: Process, holes: tuple = ()) -> str:
+def _render(p: Process, holes: tuple = ()) -> str:
     """:func:`render`, with hole ``i`` of a bound output's target named
     ``holes[i]``."""
     text = getattr(p, "_text", None) if not holes else None

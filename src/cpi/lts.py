@@ -40,8 +40,8 @@ from typing import Iterable, Optional, Union
 from .parser import _render, render
 from .syntax import (
     CHAN, CpiError, Idx, Name, Par, Prefixed, Process, Receive, Repl,
-    Restrict, Send, SortError, _group, _idents, _name, _Node, _reindex,
-    _remember, canonicalize, free_names, fresh_names, nameless, prefix_chain,
+    Restrict, Send, SortError, _group, _name, _Node, _reindex, _remember,
+    _scope, canonicalize, free_names, fresh_names, nameless, prefix_chain,
 )
 
 
@@ -291,92 +291,20 @@ def _named_at(state: Process, at: Process, n) -> str:
     ``n``, read at the first node ``at`` in traversal order."""
     if type(n) is Name:
         return n.ident
-    numbers = _idents("#", {m.ident for m in free_names(state)},
-                      itertools.count())
-    groups: list[tuple[str, ...]] = []
-    todo = [(state, 0)]
-    while todo:
-        t, mark = todo.pop()
-        del groups[mark:]
-        while t is not at:
-            kind = type(t)
-            if kind is Prefixed:
-                core = prefix_chain(t.prefix)[1]
-                if type(core) is Receive:
-                    groups.append(tuple(next(numbers) for _ in core.binders))
-                t = t.continuation
-            elif kind is Par:
-                todo.append((t.right, len(groups)))
-                t = t.left
-            elif kind is Restrict:
-                groups.append(tuple(next(numbers) for _ in t.channels))
-                t = t.body
-            elif kind is Repl:
-                t = t.body
-            else:
-                break
-        else:
-            return groups[-1 - n.up][n.pos]
-    raise ValueError("the node is not in the state")
-
-
-def _binder_count(t: Process) -> int:
-    """The number of binders in ``t``: numbers canonicalize gives out."""
-    n = 0
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        kind = type(t)
-        if kind is Prefixed:
-            core = prefix_chain(t.prefix)[1]
-            if type(core) is Receive:
-                n += len(core.binders)
-            todo.append(t.continuation)
-        elif kind is Par:
-            todo += (t.right, t.left)
-        elif kind is Restrict:
-            n += len(t.channels)
-            todo.append(t.body)
-        elif kind is Repl:
-            todo.append(t.body)
-    return n
+    return _scope(state, at)[1][-1 - n.up][n.pos].ident
 
 
 def _named_output(state: Process, a: BoundOutAct, rules: tuple) -> BoundOutAct:
     """The bound output ``a``, derived at the top of the nameless
     ``state`` by ``rules``, named as the canonical form of ``state``
     names its binders.  The rules, read from the last, are the path from
-    ``state`` down to the sending prefix; the restrictions on that path
-    are the ones its indices can reach."""
-    t = state
-    count = 0
-    nest: list[tuple[int, ...]] = []
-    steps = iter(reversed(rules))
-    for rule in steps:
-        if rule == "par-l":
-            t = t.left
-        elif rule == "par-r":
-            count += _binder_count(t.left)
-            t = t.right
-        elif rule == "rep-act":
-            t = t.body
-        elif rule == "res" or rule == "open":
-            # one rule per channel of the nest, outermost first
-            n = len(t.channels)
-            nest.append(tuple(range(count, count + n)))
-            count += n
-            t = t.body
-            for _ in range(n - 1):
-                next(steps)
+    ``state`` down to the sending prefix."""
+    t, groups = _scope(state, sides=[r for r in reversed(rules)
+                                     if r == "par-l" or r == "par-r"])
     core = prefix_chain(t.prefix)[1]
-    numbers = _idents("#", {m.ident for m in free_names(state)},
-                      itertools.count())
-    idents = list(itertools.islice(numbers, count))
 
     def name(n):
-        if type(n) is Name:
-            return n
-        return Name(CHAN, idents[nest[-1 - n.up][n.pos]])
+        return n if type(n) is Name else groups[-1 - n.up][n.pos]
 
     objs = tuple(map(name, core.objects))
     return BoundOutAct(name(core.subject), objs,

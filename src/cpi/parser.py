@@ -28,12 +28,11 @@ is linear in the size of a chain.
 
 from __future__ import annotations
 
-import itertools
 import re
 
 from .syntax import (
     CHAN, VAR, CpiError, CpiViolation, Name, NIL, Nil, Par, Prefix, Prefixed,
-    Process, Receive, Repl, Restrict, Send, SortError, _avoided, _idents,
+    Process, Receive, Repl, Restrict, Send, SortError, _numbers,
     _remember, _rollback, canonicalize, prefix_chain, validate_cpi,
     wrap_matches,
 )
@@ -342,7 +341,7 @@ def _render(p: Process, holes: tuple = ()) -> str:
         if type(group[0]) is Name:
             return tuple(b.ident for b in group)
         if numbers is None:
-            numbers = _idents("#", _avoided(p, holes), itertools.count())
+            numbers = _numbers(p, holes)
         named += 1
         group = tuple(next(numbers) for _ in group)
         groups.append(group)

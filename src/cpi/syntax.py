@@ -1120,22 +1120,21 @@ def _holes(t: Process) -> set[int]:
     return out
 
 
-def _avoided(t: Process, holes: tuple) -> set[str]:
-    """The identifiers that the numbering of the nameless ``t`` skips:
-    those of its free names, a hole ``i`` that occurs being the free
-    name ``holes[i]``."""
+def _numbers(t: Process, holes: tuple = ()) -> Iterator[str]:
+    """The identifiers that name the binders of the nameless ``t`` in
+    traversal order, as :func:`canonicalize` numbers them: ``#0, #1,
+    ...``, skipping the identifiers free in ``t``, where a hole ``i``
+    that occurs is the free name ``holes[i]``."""
     avoid = {n.ident for n in free_names(t)}
     if holes:
         avoid.update(holes[i].ident for i in _holes(t))
-    return avoid
+    return _idents("#", avoid, itertools.count())
 
 
 def _name(t: Process, holes: tuple = ()) -> Process:
-    """The canonical form of the nameless ``t``: binders numbered in
-    traversal order, skipping the identifiers free in ``t``, where hole
-    ``i`` is the free name ``holes[i]``."""
-    avoid = _avoided(t, holes)
-    numbers = _idents("#", avoid, itertools.count())
+    """The canonical form of the nameless ``t``: binders named by
+    :func:`_numbers`, where hole ``i`` is the free name ``holes[i]``."""
+    numbers = _numbers(t, holes)
     groups: list[tuple[Name, ...]] = []
 
     def enter(group):
@@ -1157,6 +1156,57 @@ def _name(t: Process, holes: tuple = ()) -> Process:
         del groups[m:]
 
     return _walk(t, enter, name, mark, restore)
+
+
+def _scope(t: Process, at: Optional[Process] = None,
+           sides: Iterable[str] = ()) -> tuple[Process, list[tuple[Name, ...]]]:
+    """A node of the nameless ``t`` and the binder groups in scope there,
+    outermost first, named as :func:`_name` names them.  The node is the
+    first ``at`` in traversal order or, without ``at``, the first prefix
+    reached by taking ``sides`` (each ``"par-l"`` or ``"par-r"``) at the
+    '|'s on the way down.  The walk counts the binders it passes in
+    traversal order, and names only the groups in scope at the node."""
+    sides = iter(sides)
+    used = 0
+    # the groups in scope as (kind, first number, size); ``on`` is false
+    # in the left of a '|' that the way down passes on the right
+    groups: list[tuple[str, int, int]] = []
+    todo = [(t, 0, True)]
+    while todo:
+        u, mark, on = todo.pop()
+        del groups[mark:]
+        while True:
+            if on and (u is at if at is not None else type(u) is Prefixed):
+                idents = list(itertools.islice(_numbers(t), used))
+                return u, [tuple(Name(kind, i)
+                                 for i in idents[first:first + size])
+                           for kind, first, size in groups]
+            kind = type(u)
+            if kind is Prefixed:
+                core = prefix_chain(u.prefix)[1]
+                if type(core) is Receive:
+                    groups.append((VAR, used, len(core.binders)))
+                    used += len(core.binders)
+                u = u.continuation
+            elif kind is Par:
+                if on and at is None:
+                    if next(sides) == "par-l":
+                        u = u.left
+                        continue
+                    todo.append((u.right, len(groups), True))
+                    on = False
+                else:
+                    todo.append((u.right, len(groups), on))
+                u = u.left
+            elif kind is Restrict:
+                groups.append((CHAN, used, len(u.channels)))
+                used += len(u.channels)
+                u = u.body
+            elif kind is Repl:
+                u = u.body
+            else:
+                break
+    raise ValueError("the node is not in the term")
 
 
 def alpha_equivalent(p: Process, q: Process) -> bool:

@@ -550,11 +550,11 @@ def scoped_syncs(rng):
 
 def _engine_inputs():
     """The corpus, 2,000 seeded pi and cpi terms with replication, 600
-    polyadic rough terms, 200 scoped synchronizations, and translations
-    with their handlers, open and closed, with the states one tau step
-    into each.  A translated receive
-    on a free channel takes an input of four names, too many to list on
-    an environment of a dozen channels, so an open translation's source
+    polyadic rough terms, 200 scoped synchronizations and 60 replicated
+    ones, and translations with their handlers, open and closed, with
+    the states one tau step into each.  A translated receive on a free
+    channel takes an input of four names, too many to list on an
+    environment of a dozen channels, so an open translation's source
     receives on restricted channels only."""
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     yield from (parse(f.read_text(), mode=PI)
@@ -585,6 +585,9 @@ def _engine_inputs():
         yield enc
         yield from (tr.target for tr in successors(enc, include_inputs=False)
                     if tr.action is TAU)
+    for _ in range(60):
+        # one copy extrudes k to another, which restricts k itself
+        yield Repl(scoped_syncs(rng))
     yield from translations()
 
 
@@ -600,25 +603,43 @@ def _engine_answers(engine, p, extra):
             yield type(e), str(e)
 
 
-def _restored(item, extra):
-    """Whether a transition or label that only the nameless engine gives
-    is one the named engine lost: an input of the extra channel ``#0``,
-    which it took for its binder ``#0``, or a rep-close whose bound name
-    the receiving copy restricts under the same name (and the tau label
-    such a move may add)."""
-    if isinstance(item, Transition):
-        if "rep-close" in item.rules:
-            return True
-        item = item.action
-    if item is TAU:
-        return True
-    return (isinstance(item, InAct) and chan("#0") in extra
-            and chan("#0") in item.objects)
+def _restored_input(a, extra):
+    """Whether ``a`` is an input of the extra channel ``#0``, which the
+    named engine took for its binder ``#0`` and lost."""
+    return (type(a) is InAct and chan("#0") in extra
+            and chan("#0") in a.objects)
+
+
+def _restored(got, want, extra):
+    """What the nameless engine's answers ``got`` add to the named
+    engine's ``want``, call by call, or an AssertionError if an added
+    item is not one the named engine lost.  It lost inputs of the extra
+    channel ``#0`` and rep-closes whose receiving copy restricts the
+    extruded name under the same name.  A tau label may be added only
+    with such rep-closes, when every tau transition added is one."""
+    added = []
+    for x, w in zip(got, want):
+        if isinstance(x, tuple) and x[:1] == (SortError,):
+            assert x == w
+            added.append(())
+            continue
+        known = set(w)
+        assert [y for y in x if y in known] == list(want[len(added)])
+        added.append(tuple(y for y in x if y not in known))
+    taus = [tr for tr in added[0] if tr.action is TAU]
+    closes = all("rep-close" in tr.rules for tr in taus)
+    for tr in added[0] + added[1]:
+        assert ("rep-close" in tr.rules and tr.action is TAU
+                or _restored_input(tr.action, extra)), tr
+    for a in added[2]:
+        assert a is TAU and taus and closes or _restored_input(a, extra), a
+    return added
 
 
 def test_rule_engine_matches_the_reference_engine():
     seen = {"sort errors": 0, "bound outputs": 0, "closes": 0, "nest wraps": 0,
-            "replicated syncs": 0, "guarded syncs": 0, "restored #0": 0}
+            "replicated syncs": 0, "guarded syncs": 0, "restored #0": 0,
+            "restored rep-closes": 0}
     for p in _engine_inputs():
         engine, reference = Engine(), NamedEngine()
         for extra in EXTRAS:
@@ -627,14 +648,14 @@ def test_rule_engine_matches_the_reference_engine():
             if got != want:
                 # the named engine's answers are the nameless engine's
                 # less what it lost, in the same order
-                kept = [x if isinstance(x, tuple) and x[:1] == (SortError,)
-                        else tuple(y for y in x if y in set(w)
-                                   or not _restored(y, extra))
-                        for x, w in zip(got, want)]
-                assert kept == want, (render(p), extra)
-                lost = {y for x, w in zip(got, want) if x != w
-                        for y in x if y not in set(w)}
-                seen["restored #0"] += any(isinstance(y, InAct) for y in lost)
+                try:
+                    added = _restored(got, want, extra)
+                except AssertionError as e:
+                    raise AssertionError((render(p), extra, str(e))) from None
+                seen["restored #0"] += any(
+                    _restored_input(tr.action, extra) for tr in added[0])
+                seen["restored rep-closes"] += any(
+                    "rep-close" in tr.rules for tr in added[0])
             if got[0][:1] == (SortError,):
                 seen["sort errors"] += 1
                 continue

@@ -624,7 +624,7 @@ def _restored(got, want, extra):
             added.append(())
             continue
         known = set(w)
-        assert [y for y in x if y in known] == list(want[len(added)])
+        assert [y for y in x if y in known] == list(w)
         added.append(tuple(y for y in x if y not in known))
     taus = [tr for tr in added[0] if tr.action is TAU]
     closes = all("rep-close" in tr.rules for tr in taus)

@@ -8,6 +8,14 @@ The last round compares label sets only: any reply to it survives, so
 its targets are never built.  A positive answer is a bounded
 certificate, never a proof of full bisimilarity, and means the same as
 if the last round had been expanded in full.
+
+The game's answer is defined by the canonical order of moves, that of
+:meth:`lts.Engine.transitions`: a counterexample is the attacker's first
+winning move in that order, followed by the counterexample of the
+defender's first reply in that order.  Building that order renders every
+target that shares its action with another.  A monadic pair is played in
+derivation order instead and consults the canonical order only to name
+a counterexample; its verdicts and counterexamples are the same.
 """
 
 from __future__ import annotations
@@ -16,13 +24,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .lts import (
-    Action, Engine, _opened, action_to_json, normal_label, render_action,
+    Action, Engine, _opened, _tie_text, action_to_json, normal_label,
+    render_action,
 )
 from .parser import render
 from .syntax import (
     CpiError, Match, Name, NIL, Par, Prefix, Prefixed, Process, Receive,
     Repl, Restrict, Send, bound_names, chan, drive, free_names, nameless,
-    var,
+    prefix_chain, var,
 )
 
 
@@ -58,14 +67,43 @@ class Verdict:
 
 
 def _normalized_moves(engine: Engine, p: Process, extra_env: frozenset[Name],
-                      avoid_idents: set[str]) -> list[tuple[Action, Process]]:
-    """Moves of the nameless ``p`` with normalized labels; a bound
-    output's target calls its bound names as its label does."""
+                      avoid_idents: set[str],
+                      derived: bool = False) -> list[tuple[Action, Process]]:
+    """Moves of the nameless ``p`` with normalized labels, in
+    :meth:`lts.Engine.transitions` order, or with ``derived`` each
+    action's targets in derivation order (:meth:`lts.Engine.moves`); a
+    bound output's target calls its bound names as its label does."""
+    if derived:
+        groups = engine.moves(p, extra_env)
+    else:
+        groups = ((tr.action, (tr.target,))
+                  for tr in engine.transitions(p, extra_env))
     moves = []
-    for tr in engine.transitions(p, extra_env):
-        a, m = normal_label(tr.action, avoid_idents)
-        moves.append((a, tr.target if m is None else _opened(tr.target, a.objects)))
+    for a, targets in groups:
+        a, m = normal_label(a, avoid_idents)
+        if m is None:
+            moves += [(a, t) for t in targets]
+        else:
+            moves += [(a, _opened(t, a.objects)) for t in targets]
     return moves
+
+
+def _ranks(engine: Engine, p: Process, extra_env: frozenset[Name],
+           avoid_idents: set[str], label: Action) -> dict:
+    """The canonical rank of each target of the nameless ``p``'s moves
+    labelled ``label`` (see :func:`_normalized_moves`): the key of its
+    action, then its text among that action's targets, the order of
+    :meth:`lts.Engine.transitions`.  Only a target that shares its
+    action is rendered."""
+    ranks: dict = {}
+    for a, targets in engine.moves(p, extra_env):
+        got, m = normal_label(a, avoid_idents)
+        if got is not label:
+            continue
+        for t in targets:
+            rank = (a._sort_key, _tie_text(a, t) if len(targets) > 1 else "")
+            ranks.setdefault(t if m is None else _opened(t, got.objects), rank)
+    return ranks
 
 
 def _normalized_labels(engine: Engine, p: Process, extra_env: frozenset[Name],
@@ -105,7 +143,12 @@ def check(p: Process, q: Process, depth: int,
     q = nameless(q)
     if engine is None:
         engine = Engine()
-    link = _Game(p, q, engine).play(p, q, depth)
+    return _verdict(_Game(p, q, engine, _monadic(p, q)).play(p, q, depth), depth)
+
+
+def _verdict(link, depth: int) -> Verdict:
+    """The verdict of a game of ``depth`` rounds that :meth:`_Game.play`
+    answered with ``link``."""
     if link is None:
         return Verdict(True, depth)
     moves = []
@@ -113,6 +156,30 @@ def check(p: Process, q: Process, depth: int,
         move, link = link
         moves.append(move)
     return Verdict(False, depth, tuple(moves))
+
+
+def _monadic(*roots: Process) -> bool:
+    """Whether every send of ``roots`` has one object and every receive
+    one binder.  Every state reachable from such roots is so too, so no
+    synchronization of theirs can clash on arity."""
+    todo = list(roots)
+    seen = set()
+    while todo:
+        t = todo.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        kind = type(t)
+        if kind is Prefixed:
+            core = prefix_chain(t.prefix)[1]
+            if len(core.objects if type(core) is Send else core.binders) != 1:
+                return False
+            todo.append(t.continuation)
+        elif kind is Par:
+            todo += (t.left, t.right)
+        elif kind is Restrict or kind is Repl:
+            todo.append(t.body)
+    return True
 
 
 # What _Game._settle answers for a pair that the game must expand.
@@ -124,15 +191,30 @@ class _Game:
 
     The memo stays per game: its entries hold only under the game's
     ``base_env``.
+
+    The game's answer is defined by the canonical order of moves, that
+    of :meth:`lts.Engine.transitions`: the attacker's first winning move
+    in that order, and behind it the link of the defender's first reply
+    in that order.  A pair's answer is a function of the pair alone, so
+    the order in which the game visits moves changes which sub-pairs it
+    plays, never an answer, unless a visit meets an arity clash.  With
+    ``derived`` the game visits each label's moves, and the defender's
+    replies, in derivation order (:meth:`lts.Engine.moves`), and asks
+    for the canonical order (:func:`_ranks`) only to name a
+    counterexample: where the attacker wins within a label of two or
+    more moves, or the defender loses to two or more replies.  Only a
+    monadic pair (:func:`_monadic`), which cannot clash, is played so.
     """
 
-    __slots__ = ("base_env", "engine", "memo")
+    __slots__ = ("base_env", "engine", "memo", "derived")
 
-    def __init__(self, p: Process, q: Process, engine: Engine):
+    def __init__(self, p: Process, q: Process, engine: Engine,
+                 derived: bool = False):
         self.base_env = frozenset(
             n for n in free_names(p) | free_names(q) if n.is_channel)
         self.engine = engine
         self.memo: dict = {}
+        self.derived = derived
 
     def play(self, a: Process, b: Process, d: int):
         """None if the defender survives ``d`` rounds from ``(a, b)``,
@@ -147,9 +229,9 @@ class _Game:
     def _scope(self, a: Process, b: Process):
         """The environment of the round from ``(a, b)`` and the idents
         its bound-output labels avoid."""
-        env = self.base_env | frozenset(
-            n for n in free_names(a) | free_names(b) if n.is_channel)
-        avoid = {n.ident for n in env | free_names(a) | free_names(b)}
+        free = free_names(a) | free_names(b)
+        env = self.base_env | frozenset(n for n in free if n.is_channel)
+        avoid = {n.ident for n in env | free}
         return env, avoid
 
     def _settle(self, a: Process, b: Process, d: int):
@@ -177,13 +259,12 @@ class _Game:
         generator for :func:`syntax.drive`: it yields each sub-round that
         :meth:`_settle` leaves open."""
         env, avoid = self._scope(a, b)
-        moves_a = _normalized_moves(self.engine, a, env, avoid)
-        moves_b = _normalized_moves(self.engine, b, env, avoid)
+        derived = self.derived
         by_label_a: dict = {}
         by_label_b: dict = {}
-        for act, t in moves_a:
+        for act, t in _normalized_moves(self.engine, a, env, avoid, derived):
             by_label_a.setdefault(act, []).append(t)
-        for act, t in moves_b:
+        for act, t in _normalized_moves(self.engine, b, env, avoid, derived):
             by_label_b.setdefault(act, []).append(t)
 
         settle = self._settle
@@ -192,11 +273,16 @@ class _Game:
                                          (by_label_b, by_label_a, "left")):
             for act, targets in attacker.items():
                 cands = defender.get(act)
-                for t in targets:
-                    if not cands:
-                        result = (act, side), None
-                        break
-                    first = None
+                if not cands:
+                    result = (act, side), None
+                    break
+                lost = None
+                visit = targets
+                i = 0
+                while i < len(visit):
+                    t = visit[i]
+                    i += 1
+                    links = []
                     for c in cands:
                         x, y = (t, c) if side == "right" else (c, t)
                         sub = settle(x, y, d - 1)
@@ -204,12 +290,31 @@ class _Game:
                             sub = yield x, y, d - 1
                         if sub is None:
                             break
-                        first = first or sub
+                        links.append(sub)
                     else:
-                        result = (act, side), first
-                        break
-                if result is not None:
-                    break
+                        lost = links
+                        if not derived or len(targets) == 1 or visit is not targets:
+                            break
+                        # t wins.  The canonically first winner is t or
+                        # one ranked before t that is still untried: try
+                        # those in rank order.
+                        rank = _ranks(self.engine, a if side == "right" else b,
+                                      env, avoid, act)
+                        first = rank[t]
+                        visit = sorted((u for u in targets[i:] if rank[u] < first),
+                                       key=rank.get)
+                        i = 0
+                if lost is None:
+                    continue
+                link = lost[0]
+                if derived and len(cands) > 1:
+                    # the link of the canonically first reply
+                    rank = _ranks(self.engine, b if side == "right" else a,
+                                  env, avoid, act)
+                    link = lost[min(range(len(cands)),
+                                    key=lambda j: rank[cands[j]])]
+                result = (act, side), link
+                break
             if result is not None:
                 break
         self.memo[(a, b, d)] = result

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import Iterable, Optional, Union
 
@@ -165,6 +166,13 @@ class Transition:
 
 # The order of actions in a transition set: reads the key kept on the action.
 _action_sort_key = attrgetter("_sort_key")
+
+
+def _tie_text(a: Action, t: Process) -> str:
+    """The text that orders the targets of one action ``a`` of a state:
+    the target rendered, a bound output's holes named as ``a`` names
+    its bound objects."""
+    return _render(t, a.objects) if type(a) is BoundOutAct else render(t)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +352,13 @@ class Engine:
     (``Idx`` with ``up`` -1, numbered by its first place among the
     objects) until the client names it (:func:`_opened`).
 
+    :meth:`transitions` orders the targets of one action by their text,
+    so it renders every target that shares its action with another.
+    :meth:`moves` groups the same transitions by action, each action's
+    targets in derivation order, and renders none: a client whose answer
+    does not depend on the order of targets (the game on a monadic pair)
+    asks it instead.
+
     A client that needs only the labels of a state (the last round of a
     bounded game, the last level of a bounded search) asks
     :meth:`actions`, which reads the same rule-engine cache as
@@ -386,12 +401,13 @@ class Engine:
     """
 
     __slots__ = ("_succ_cache", "_input_cache", "_trans_cache",
-                 "_named_cache", "_candidates")
+                 "_moves_cache", "_named_cache", "_candidates")
 
     def __init__(self) -> None:
         self._succ_cache: dict = {}
         self._input_cache: dict = {}
         self._trans_cache: dict = {}
+        self._moves_cache: dict = {}
         self._named_cache: dict = {}
         self._candidates: dict = {}
 
@@ -463,14 +479,32 @@ class Engine:
                 f"has arity {clash.arity}, synchronization offers "
                 f"{clash.offered}") from None
 
-    def _transitions(self, state: Process,
-                     env: frozenset[Name]) -> tuple[Transition, ...]:
-        # Sorted by (_action_sort_key(action), render(target)), computed
-        # group by group.  The key is one-to-one on actions (every name
-        # in an action is a channel), so a group of one action is a run
-        # of that order, and a stable sort of a group keeps the first
-        # occurrence order that the stable sort of the whole kept.  A
-        # target is rendered only to break a tie within its group.
+    def moves(self, state: Process,
+              env: frozenset[Name]) -> tuple[tuple[Action, tuple[Process, ...]], ...]:
+        """The transitions of the nameless ``state`` grouped by action: the
+        distinct actions in :meth:`transitions` order, each with its
+        distinct targets in the order the rule engine derives them, not
+        sorted by text; a bound output's targets call its bound names by
+        their holes.  No target is rendered."""
+        state = nameless(state)
+        key = (state, env)
+        hit = self._moves_cache.get(key)
+        if hit is None:
+            groups = self._groups(state, env)
+            for a, group in groups:
+                if type(a) is not BoundOutAct:
+                    for t in group:
+                        _remember(t, "_nameless", None)
+            hit = self._moves_cache[key] = tuple(
+                (a, tuple(group)) for a, group in groups)
+        return hit
+
+    def _groups(self, state: Process, env: frozenset[Name]) -> list:
+        """The derivations of ``state`` by action: each distinct action, in
+        ``_action_sort_key`` order, with a dict from each of its distinct
+        targets, in derivation order, to the rules of its first
+        derivation.  The key is one-to-one on actions (every name in an
+        action is a channel), so the actions' order is a total one."""
         groups: dict = {}
         for a, t, rl in self._derive(state, env):
             if type(a) is BoundOutAct:
@@ -482,14 +516,20 @@ class Engine:
                 group = groups[a] = {}
             if t not in group:
                 group[t] = rl
+        return [(a, groups[a]) for a in sorted(groups, key=_action_sort_key)]
+
+    def _transitions(self, state: Process,
+                     env: frozenset[Name]) -> tuple[Transition, ...]:
+        # Sorted by (_action_sort_key(action), _tie_text(action, target)),
+        # group by group: a group of one action is a run of that order,
+        # and a stable sort of a group keeps the first occurrence order
+        # that the stable sort of the whole kept.  A target is rendered
+        # only to break a tie within its group.
         trans = []
-        for a in sorted(groups, key=_action_sort_key):
-            group = groups[a]
-            if type(a) is BoundOutAct:
-                targets = (sorted(group, key=lambda t: _render(t, a.objects))
-                           if len(group) > 1 else group)
-            else:
-                targets = sorted(group, key=render) if len(group) > 1 else group
+        for a, group in self._groups(state, env):
+            targets = (sorted(group, key=partial(_tie_text, a))
+                       if len(group) > 1 else group)
+            if type(a) is not BoundOutAct:
                 for t in targets:
                     _remember(t, "_nameless", None)
             trans.extend(Transition(a, t, group[t]) for t in targets)

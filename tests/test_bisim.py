@@ -11,15 +11,16 @@ import pytest
 
 import cpi
 from cpi.bisim import (
-    ConstructionError, Verdict, _Game, check, check_proposition1_instance,
-    law_suite,
+    ConstructionError, Verdict, _Game, _monadic, _verdict, check,
+    check_proposition1_instance, law_suite,
 )
 from cpi.gen import random_cpi_process, random_pi_process
 from cpi.lts import BoundOutAct, Engine, InAct, OutAct, TauAct
+from cpi import parser
 from cpi.parser import PI, parse
 from cpi.syntax import (
-    NIL, Par, Prefixed, Receive, Restrict, Send, SortError, canonicalize,
-    chan, free_names, substitute, var,
+    NIL, Par, Prefixed, Receive, Repl, Restrict, Send, SortError,
+    canonicalize, chan, free_names, nameless, substitute, var,
 )
 
 
@@ -319,3 +320,86 @@ def test_label_only_last_round_matches_full_game():
     assert any(isinstance(a, BoundOutAct) for a, _ in steps)
     assert any(isinstance(a, InAct) for a, _ in steps)
     assert {"left", "right"} <= {side for _, side in steps}
+
+
+def canonical_check(p, q, depth):
+    """``check`` with the game in canonical order, whatever the pair."""
+    p, q = nameless(p), nameless(q)
+    return _verdict(_Game(p, q, Engine()).play(p, q, depth), depth)
+
+
+def _monadic_pairs(rng, count):
+    """Seeded monadic pairs in the law suite's shapes and at random: free
+    inputs, bound outputs (a restricted channel sent), replication, and
+    two receivers on one channel."""
+    a, k = chan("a"), chan("k")
+    pairs = []
+    while len(pairs) < count:
+        gen = random_pi_process if len(pairs) % 3 else random_cpi_process
+        p = gen(rng, rng.randint(1, 4), repl_weight=0.1)
+        q = gen(rng, rng.randint(1, 4), repl_weight=0.1)
+        x, y = var("xd"), var("yd")
+        twin = Par(Prefixed(Receive(a, (x,)), p), Prefixed(Receive(a, (y,)), q))
+        sent = Restrict((k,), Par(Prefixed(Send(a, (k,)), p),
+                                  Prefixed(Send(a, (k,)), q)))
+        pairs += [(p, q), (Par(p, q), Par(q, p)), (Par(p, q), p),
+                  (Par(p, Restrict((k,), q)), Restrict((k,), Par(p, q))),
+                  (twin, Par(twin, p)), (sent, Par(p, sent)),
+                  (Repl(p), Par(p, Repl(p)))]
+    return pairs
+
+
+def test_derivation_order_game_matches_canonical_game(monkeypatch):
+    # check plays a monadic pair in derivation order and consults the
+    # canonical order only to name a counterexample: the verdicts and
+    # counterexamples are those of the canonical game at every depth
+    consulted = 0
+    ranks = cpi.bisim._ranks
+
+    def counted(*args):
+        nonlocal consulted
+        consulted += 1
+        return ranks(*args)
+
+    monkeypatch.setattr(cpi.bisim, "_ranks", counted)
+    rng = random.Random(2020)
+    pairs = _monadic_pairs(rng, 308)
+    lost = 0
+    for i, (p, q) in enumerate(pairs):
+        assert _monadic(nameless(p), nameless(q)), i
+        for depth in (1, 2, 3, 4) if i % 4 == 0 else (1 + i % 4,):
+            got = check(p, q, depth)
+            assert got == canonical_check(p, q, depth), (i, depth)
+            lost += not got.bisimilar
+    assert lost >= 150
+    assert consulted >= 100
+
+
+def _renders(call):
+    """The number of calls of ``parser._render``, the walk under every
+    ``render``, that ``call()`` makes."""
+    code = parser._render.__code__
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_monadic_game_renders_no_target():
+    # two receivers on one channel give every input two targets, so the
+    # canonical order ties; a bisimilar monadic pair names no
+    # counterexample and reads no order
+    p = parse("a?(x).b!<x>.0 | a?(y).c!<y>.0", mode=PI)
+    q = parse("a?(y).c!<y>.0 | a?(x).b!<x>.0", mode=PI)
+    assert _renders(lambda: check(p, q, 4)) == 0
+    assert check(p, q, 4).bisimilar
+    assert _renders(lambda: canonical_check(p, q, 4)) > 0

@@ -1,7 +1,7 @@
 """Surface syntax: parsing, precedence, errors, printing."""
 
 import random
-import time
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,24 +126,60 @@ def _receive_chain(n):
     return "".join(f"a?(x{i})." for i in range(n)) + "0"
 
 
-def _parse_time(text):
-    best = float("inf")
-    for _ in range(3):
-        start = time.process_time()
+class _CountingScope(dict):
+    """A dict that counts the entries stored in it, those it is made
+    with included."""
+
+    stored = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        _CountingScope.stored += len(self)
+
+    def __setitem__(self, key, value):
+        _CountingScope.stored += 1
+        super().__setitem__(key, value)
+
+
+def _parse_work(monkeypatch, text):
+    """The work of parsing ``text``, in two deterministic counts: the
+    lines of ``cpi`` code executed, and the entries stored in the dicts
+    that ``cpi.parser`` makes (its scope), a copy's entries included."""
+    monkeypatch.setattr(parser, "dict", _CountingScope, raising=False)
+    _CountingScope.stored = 0
+    package = str(Path(parser.__file__).parent)
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+
+    sys.settrace(trace)
+    try:
         parse(text, mode=PI)
-        best = min(best, time.process_time() - start)
-    return best
+    finally:
+        sys.settrace(None)
+        monkeypatch.undo()
+    return lines, _CountingScope.stored
 
 
-def test_receive_chain_parses_in_linear_time():
+def test_receive_chain_parses_in_linear_time(monkeypatch):
     # one scope dict and a trail: a receive does not copy the scope
     p = parse(_receive_chain(20000), mode=PI)
     text = render(p)
     assert text == "".join(f"a?(#{i})." for i in range(20000)) + "0"
     assert parse(text, mode=PI, allow_reserved=True) is p
-    # a quadratic parse takes about 16 times as long at 4 times the size
-    ratio = _parse_time(_receive_chain(16000)) / _parse_time(_receive_chain(4000))
-    assert ratio < 8, ratio
+    # quadratic work grows 16 times at 4 times the size
+    small = _parse_work(monkeypatch, _receive_chain(4000))
+    large = _parse_work(monkeypatch, _receive_chain(16000))
+    assert small[1] >= 4000
+    for work in zip(("lines", "scope entries"), small, large):
+        assert work[2] < 5 * work[1], work
 
 
 @pytest.mark.parametrize("text", ["a!<>", "a!<b>", "new in 0", "a?(x", "(0", "0 0"])

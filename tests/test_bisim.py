@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 import cpi
+from cpi import parser
 from cpi.bisim import (
     ConstructionError, Verdict, _Game, _monadic, _verdict, check,
     check_proposition1_instance, law_suite,
 )
 from cpi.gen import random_cpi_process, random_pi_process
 from cpi.lts import BoundOutAct, Engine, InAct, OutAct, TauAct
-from cpi import parser
 from cpi.parser import PI, parse
 from cpi.syntax import (
     NIL, Par, Prefixed, Receive, Repl, Restrict, Send, SortError,
@@ -332,13 +332,12 @@ def _monadic_pairs(rng, count):
     """Seeded monadic pairs in the law suite's shapes and at random: free
     inputs, bound outputs (a restricted channel sent), replication, and
     two receivers on one channel."""
-    a, k = chan("a"), chan("k")
+    a, k, x, y = chan("a"), chan("k"), var("xd"), var("yd")
     pairs = []
     while len(pairs) < count:
         gen = random_pi_process if len(pairs) % 3 else random_cpi_process
         p = gen(rng, rng.randint(1, 4), repl_weight=0.1)
         q = gen(rng, rng.randint(1, 4), repl_weight=0.1)
-        x, y = var("xd"), var("yd")
         twin = Par(Prefixed(Receive(a, (x,)), p), Prefixed(Receive(a, (y,)), q))
         sent = Restrict((k,), Par(Prefixed(Send(a, (k,)), p),
                                   Prefixed(Send(a, (k,)), q)))

@@ -10,12 +10,16 @@ certificate, never a proof of full bisimilarity, and means the same as
 if the last round had been expanded in full.
 
 The game's answer is defined by the canonical order of moves, that of
-:meth:`lts.Engine.transitions`: a counterexample is the attacker's first
+:meth:`lts.Engine.successors`: a counterexample is the attacker's first
 winning move in that order, followed by the counterexample of the
 defender's first reply in that order.  Building that order renders every
-target that shares its action with another.  A monadic pair is played in
-derivation order instead and consults the canonical order only to name
-a counterexample; its verdicts and counterexamples are the same.
+target that shares its action with another.  The game reads the
+engine's one view, each action's targets in derivation order
+(:meth:`lts.Engine.moves`), and a monadic pair is played in that order:
+it consults the canonical order only to name a counterexample, and its
+verdicts and counterexamples are the same.  Only a polyadic pair, which
+may meet an arity clash, is played in canonical order
+(:meth:`lts.Engine.ordered`).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .parser import render
 from .syntax import (
     CpiError, Match, Name, NIL, Par, Prefix, Prefixed, Process, Receive,
     Repl, Restrict, Send, bound_names, chan, drive, free_names, nameless,
-    prefix_chain, var,
+    var,
 )
 
 
@@ -69,15 +73,11 @@ class Verdict:
 def _normalized_moves(engine: Engine, p: Process, extra_env: frozenset[Name],
                       avoid_idents: set[str],
                       derived: bool = False) -> list[tuple[Action, Process]]:
-    """Moves of the nameless ``p`` with normalized labels, in
-    :meth:`lts.Engine.transitions` order, or with ``derived`` each
-    action's targets in derivation order (:meth:`lts.Engine.moves`); a
-    bound output's target calls its bound names as its label does."""
-    if derived:
-        groups = engine.moves(p, extra_env)
-    else:
-        groups = ((tr.action, (tr.target,))
-                  for tr in engine.transitions(p, extra_env))
+    """Moves of the nameless ``p`` with normalized labels, in canonical
+    order (:meth:`lts.Engine.ordered`), or with ``derived`` each action's
+    targets in derivation order (:meth:`lts.Engine.moves`); a bound
+    output's target calls its bound names as its label does."""
+    groups = (engine.moves if derived else engine.ordered)(p, extra_env)
     moves = []
     for a, targets in groups:
         a, m = normal_label(a, avoid_idents)
@@ -93,8 +93,8 @@ def _ranks(engine: Engine, p: Process, extra_env: frozenset[Name],
     """The canonical rank of each target of the nameless ``p``'s moves
     labelled ``label`` (see :func:`_normalized_moves`): the key of its
     action, then its text among that action's targets, the order of
-    :meth:`lts.Engine.transitions`.  Only a target that shares its
-    action is rendered."""
+    :meth:`lts.Engine.ordered`.  Only a target that shares its action is
+    rendered."""
     ranks: dict = {}
     for a, targets in engine.moves(p, extra_env):
         got, m = normal_label(a, avoid_idents)
@@ -171,7 +171,9 @@ def _monadic(*roots: Process) -> bool:
         seen.add(t)
         kind = type(t)
         if kind is Prefixed:
-            core = prefix_chain(t.prefix)[1]
+            core = t.prefix
+            while type(core) is Match:
+                core = core.inner
             if len(core.objects if type(core) is Send else core.binders) != 1:
                 return False
             todo.append(t.continuation)
@@ -193,7 +195,7 @@ class _Game:
     ``base_env``.
 
     The game's answer is defined by the canonical order of moves, that
-    of :meth:`lts.Engine.transitions`: the attacker's first winning move
+    of :meth:`lts.Engine.ordered`: the attacker's first winning move
     in that order, and behind it the link of the defender's first reply
     in that order.  A pair's answer is a function of the pair alone, so
     the order in which the game visits moves changes which sub-pairs it
@@ -410,6 +412,8 @@ def law_suite(seed: int, instances: int, depth: int) -> LawReport:
     from .encoding import handler, renaming_policy
     from .gen import random_cpi_process, random_prefix
 
+    if instances < 1:
+        raise ValueError("instances must be positive")
     rng = random.Random(seed)
 
     def gen(size: int, extra=()):  # small helper, scope names threaded

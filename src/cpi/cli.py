@@ -2,7 +2,8 @@
 
 Subcommands: ``parse``, ``step``, ``bisim``, ``nonforward``, ``encode``.
 Exit codes: 0 success; 1 a syntax error, another input error (a
-missing, unreadable or non-UTF-8 file, a depth out of range) or a
+missing, unreadable or non-UTF-8 file, a depth, budget or count out of
+range, an ``--env`` name that is not an identifier) or a
 standard output closed before all of it was written; 2 a
 confidential-fragment violation.
 Output does not depend on what ran earlier in the process, so no
@@ -25,7 +26,7 @@ from .lts import render_action, successors
 from .nonforward import (
     WitnessNotCpi, check_nonforwarding, static_guarantee, witness_check,
 )
-from .parser import CPI, PI, CpiSyntaxError, parse, render
+from .parser import CPI, PI, CpiSyntaxError, is_identifier, parse, render
 from .syntax import CpiViolation, SortError, chan, validate_cpi
 
 EXIT_OK = 0
@@ -72,7 +73,11 @@ def cmd_parse(args) -> int:
 
 def cmd_step(args) -> int:
     p = _parse_file(args, args.file)
-    env = tuple(chan(n) for n in args.env.split(",") if n) if args.env else ()
+    names = [n for n in args.env.split(",") if n]
+    for n in names:
+        if not is_identifier(n):
+            raise ValueError(f"--env: {n!r} is not a channel name")
+    env = tuple(map(chan, names))
     trans = successors(p, env, include_inputs=not args.no_inputs)
     lines = [f"{render_action(t.action):30s} -> {render(t.target)}" for t in trans]
     _emit(args, {"process": render(p),

@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .parser import _render, render
 from .syntax import (
@@ -343,28 +343,33 @@ class Engine:
     a rule builds its target in final form; no target is renamed or
     renumbered.  The clients (the bisimulation game, the non-forwarding
     search, :func:`tau_levels`) hold nameless states and ask
-    :meth:`transitions` and :meth:`actions`.  :meth:`successors` and
+    :meth:`moves` and :meth:`actions`.  :meth:`successors` and
     :meth:`labels` are their edge: they take any process and answer as
     before, targets named by :func:`~cpi.syntax.canonicalize`.  In both,
     a bound output is named as the canonical form of its source names
-    the binders it opens, and the transitions are in the same order.
-    The target of a bound output calls each bound name by its hole
-    (``Idx`` with ``up`` -1, numbered by its first place among the
-    objects) until the client names it (:func:`_opened`).
+    the binders it opens, and the actions are in the same order.  The
+    target of a bound output calls each bound name by its hole (``Idx``
+    with ``up`` -1, numbered by its first place among the objects) until
+    the client names it (:func:`_opened`).
 
-    :meth:`transitions` orders the targets of one action by their text,
-    so it renders every target that shares its action with another.
-    :meth:`moves` groups the same transitions by action, each action's
-    targets in derivation order, and renders none: a client whose answer
-    does not depend on the order of targets (the game on a monadic pair)
-    asks it instead.
+    There is one view of a state's transitions, :meth:`moves`: its
+    distinct actions in sort-key order, each with its distinct targets
+    in the order the rule engine derives them, nothing rendered.  Inside
+    the engine's clients that order is read wherever the answer does not
+    depend on it.  The canonical order, each action's targets sorted by
+    their text (:func:`_tie_text`), is read only where an answer is
+    defined by it: :meth:`successors` and :func:`run_trace`, games on
+    polyadic pairs and a non-forwarding search from a polyadic root
+    (:meth:`ordered`, which sorts each cache entry at most once), and
+    the ranking that names a counterexample or a violation among tied
+    targets.
 
     A client that needs only the labels of a state (the last round of a
     bounded game, the last level of a bounded search) asks
     :meth:`actions`, which reads the same rule-engine cache as
-    :meth:`transitions` but builds no targets.  The transition relation
-    is the same either way, so a bounded answer built on labels means
-    what it would mean on full transitions.
+    :meth:`moves` but builds no targets.  The transition relation is the
+    same either way, so a bounded answer built on labels means what it
+    would mean on full transitions.
 
     The rule engine (``_succ`` and ``_input_on``) sees nameless states
     and their subterms only: a subterm's indices may reach past it, to
@@ -400,13 +405,12 @@ class Engine:
       of the environment is never taken for a binder.
     """
 
-    __slots__ = ("_succ_cache", "_input_cache", "_trans_cache",
-                 "_moves_cache", "_named_cache", "_candidates")
+    __slots__ = ("_succ_cache", "_input_cache", "_moves_cache",
+                 "_named_cache", "_candidates")
 
     def __init__(self) -> None:
         self._succ_cache: dict = {}
         self._input_cache: dict = {}
-        self._trans_cache: dict = {}
         self._moves_cache: dict = {}
         self._named_cache: dict = {}
         self._candidates: dict = {}
@@ -429,11 +433,10 @@ class Engine:
         hit = self._named_cache.get(key)
         if hit is None:
             hit = self._named_cache[key] = tuple(
-                Transition(tr.action,
-                           _name(tr.target, tr.action.objects)
-                           if type(tr.action) is BoundOutAct
-                           else canonicalize(tr.target), tr.rules)
-                for tr in self.transitions(s, env))
+                Transition(a, _name(t, a.objects) if type(a) is BoundOutAct
+                           else canonicalize(t), rules)
+                for a, targets in self.ordered(s, env)
+                for t, rules in targets.items())
         return hit
 
     def labels(self, p: Process,
@@ -445,24 +448,12 @@ class Engine:
                | frozenset(environment))
         return self.actions(s, env)
 
-    def transitions(self, state: Process,
-                    env: frozenset[Name]) -> tuple[Transition, ...]:
-        """The transitions of the nameless ``state`` with inputs on the
-        channels of ``env``, in :meth:`successors` order; a bound
-        output's target calls its bound names by their holes."""
-        state = nameless(state)
-        key = (state, env)
-        hit = self._trans_cache.get(key)
-        if hit is None:
-            hit = self._trans_cache[key] = self._transitions(state, env)
-        return hit
-
     def actions(self, state: Process,
                 env: frozenset[Name]) -> tuple[Action, ...]:
-        """The distinct actions of :meth:`transitions`, in their order."""
+        """The distinct actions of :meth:`moves`, in their order."""
         state = nameless(state)
-        # transitions sorts by the action's key first, and the key is
-        # one-to-one here: every name in an action is a channel.
+        # The key is one-to-one here: every name in an action is a
+        # channel.
         acts = dict.fromkeys(
             _named_output(state, a, rl) if type(a) is BoundOutAct else a
             for a, _, rl in self._derive(state, env))
@@ -480,31 +471,42 @@ class Engine:
                 f"{clash.offered}") from None
 
     def moves(self, state: Process,
-              env: frozenset[Name]) -> tuple[tuple[Action, tuple[Process, ...]], ...]:
-        """The transitions of the nameless ``state`` grouped by action: the
-        distinct actions in :meth:`transitions` order, each with its
-        distinct targets in the order the rule engine derives them, not
-        sorted by text; a bound output's targets call its bound names by
-        their holes.  No target is rendered."""
+              env: frozenset[Name]) -> Sequence[tuple[Action, dict]]:
+        """The transitions of the nameless ``state`` with inputs on the
+        channels of ``env``, grouped by action: the distinct actions in
+        :meth:`successors` order, each with a dict from its distinct
+        targets to the rules of each one's first derivation.  The targets
+        are in derivation order, or in canonical order once
+        :meth:`ordered` has sorted the entry; a bound output's targets
+        call its bound names by their holes.  No target is rendered."""
         state = nameless(state)
         key = (state, env)
         hit = self._moves_cache.get(key)
         if hit is None:
-            groups = self._groups(state, env)
-            for a, group in groups:
-                if type(a) is not BoundOutAct:
-                    for t in group:
-                        _remember(t, "_nameless", None)
-            hit = self._moves_cache[key] = tuple(
-                (a, tuple(group)) for a, group in groups)
+            hit = self._moves_cache[key] = self._groups(state, env)
         return hit
 
-    def _groups(self, state: Process, env: frozenset[Name]) -> list:
-        """The derivations of ``state`` by action: each distinct action, in
-        ``_action_sort_key`` order, with a dict from each of its distinct
-        targets, in derivation order, to the rules of its first
-        derivation.  The key is one-to-one on actions (every name in an
-        action is a channel), so the actions' order is a total one."""
+    def ordered(self, state: Process,
+                env: frozenset[Name]) -> Sequence[tuple[Action, dict]]:
+        """:meth:`moves` in canonical order, the order of
+        :meth:`successors`: each action's targets sorted by
+        :func:`_tie_text`, so only a target that shares its action is
+        rendered.  The cache entry is replaced by its sorted form, once:
+        an entry is a tuple in derivation order, a list in canonical
+        order."""
+        state = nameless(state)
+        groups = self.moves(state, env)
+        if type(groups) is tuple:
+            groups = self._moves_cache[(state, env)] = [
+                (a, targets if len(targets) == 1 else
+                 {t: targets[t] for t in sorted(targets, key=partial(_tie_text, a))})
+                for a, targets in groups]
+        return groups
+
+    def _groups(self, state: Process, env: frozenset[Name]) -> tuple:
+        """The derivations of ``state`` by action, as :meth:`moves` hands
+        them out.  The sort key is one-to-one on actions (every name in
+        an action is a channel), so the actions' order is a total one."""
         groups: dict = {}
         for a, t, rl in self._derive(state, env):
             if type(a) is BoundOutAct:
@@ -516,24 +518,11 @@ class Engine:
                 group = groups[a] = {}
             if t not in group:
                 group[t] = rl
-        return [(a, groups[a]) for a in sorted(groups, key=_action_sort_key)]
-
-    def _transitions(self, state: Process,
-                     env: frozenset[Name]) -> tuple[Transition, ...]:
-        # Sorted by (_action_sort_key(action), _tie_text(action, target)),
-        # group by group: a group of one action is a run of that order,
-        # and a stable sort of a group keeps the first occurrence order
-        # that the stable sort of the whole kept.  A target is rendered
-        # only to break a tie within its group.
-        trans = []
-        for a, group in self._groups(state, env):
-            targets = (sorted(group, key=partial(_tie_text, a))
-                       if len(group) > 1 else group)
-            if type(a) is not BoundOutAct:
-                for t in targets:
+                if type(a) is not BoundOutAct:
                     _remember(t, "_nameless", None)
-            trans.extend(Transition(a, t, group[t]) for t in targets)
-        return tuple(trans)
+        if len(groups) < 2:
+            return tuple(groups.items())
+        return tuple([(a, groups[a]) for a in sorted(groups, key=_action_sort_key)])
 
     def _inputs(self, env: frozenset[Name], arity: int) -> list[list[Name]]:
         key = (env, arity)
@@ -795,16 +784,17 @@ def _matching_targets(engine: Engine, state: Process, a: Action):
         return
     env = (frozenset(n for n in free if n.is_channel)
            | frozenset(n for n in action_free(a) if n.is_channel))
-    for tr in engine.transitions(state, env):
-        got, m = normal_label(tr.action, avoid)
+    for act, targets in engine.ordered(state, env):
+        got, m = normal_label(act, avoid)
         if got is not want:
             continue
         if m is None:
-            yield tr.target
+            yield from targets
         else:
             requested = {b: n for n, b in named.items()}
-            yield _opened(tr.target,
-                          tuple(requested.get(m.get(o)) for o in tr.action.objects))
+            names = tuple(requested.get(m.get(o)) for o in act.objects)
+            for t in targets:
+                yield _opened(t, names)
 
 
 def run_trace(p: Process, actions: Iterable[Action]) -> Process:
@@ -845,27 +835,38 @@ class TauReachable:
                 "budget_exceeded": self.exceeded}
 
 
+def _tau_targets(engine: Engine, state: Process):
+    """The targets of the nameless ``state``'s tau moves, in any order."""
+    groups = engine.moves(state, frozenset())
+    # tau sorts first
+    return groups[0][1] if groups and groups[0][0] is TAU else ()
+
+
 def tau_levels(p: Process, budget: int, engine: Optional[Engine] = None):
     """Yield the new nameless states found at each tau depth 0..budget,
-    each level in the order of their rendered texts.
+    each level in the order of their rendered texts.  A level is found
+    in derivation order (:meth:`Engine.moves`), as a set, and then
+    sorted, so no answer depends on the order of the moves.  A negative
+    ``budget`` raises :class:`ValueError`.
 
     ``engine`` lets the caller share one engine with later work on the
     same query; by default the closure gets its own.
     """
+    if budget < 0:
+        raise ValueError("tau budget must be nonnegative")
     if engine is None:
         engine = Engine()
     state = nameless(p)
     seen = {state}
     frontier = [state]
-    none = frozenset()
     yield [state]
     for _ in range(budget):
         nxt = []
         for s in frontier:
-            for tr in engine.transitions(s, none):
-                if tr.action is TAU and tr.target not in seen:
-                    seen.add(tr.target)
-                    nxt.append(tr.target)
+            for t in _tau_targets(engine, s):
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
         if not nxt:
             return
         if len(nxt) > 1:
@@ -879,11 +880,6 @@ def tau_reachable(p: Process, budget: int) -> TauReachable:
     engine = Engine()
     levels = list(tau_levels(p, budget, engine))
     states = frozenset(s for level in levels for s in level)
-    exceeded = False
-    if len(levels) == budget + 1:
-        for s in levels[-1]:
-            if any(tr.action is TAU and tr.target not in states
-                   for tr in engine.transitions(s, frozenset())):
-                exceeded = True
-                break
+    exceeded = len(levels) == budget + 1 and any(
+        t not in states for s in levels[-1] for t in _tau_targets(engine, s))
     return TauReachable(frozenset(map(canonicalize, states)), budget, exceeded)

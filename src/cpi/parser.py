@@ -52,11 +52,19 @@ class CpiSyntaxError(CpiError):
 # One pattern for the whole text: whitespace and comments match as
 # nothing, a token matches as group 1, and any other character matches as
 # group 2, which is an error.
-_TOKEN_RE = re.compile(r"""
+_IDENT = r"\#?[a-zA-Z][a-zA-Z0-9_]*|\#[0-9]+"
+_IDENT_RE = re.compile(_IDENT)
+_TOKEN_RE = re.compile(rf"""
     [ \t\r\n]+ | --[^\n]*
-  | (\#?[a-zA-Z][a-zA-Z0-9_]*|\#[0-9]+|[0!<>?()\[\]=,.|])
+  | ({_IDENT}|[0!<>?()\[\]=,.|])
   | (.)
 """, re.VERBOSE | re.DOTALL)
+
+
+def is_identifier(text: str) -> bool:
+    """Whether ``text`` is one identifier token, a reserved ``#`` name
+    included."""
+    return _IDENT_RE.fullmatch(text) is not None
 
 
 def _syntax_error(text: str, pos: int, expected: str) -> CpiSyntaxError:

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import cpi
-from cpi import parser
 from cpi.bisim import (
     ConstructionError, Verdict, _Game, _monadic, _verdict, check,
     check_proposition1_instance, law_suite,
@@ -374,31 +373,12 @@ def test_derivation_order_game_matches_canonical_game(monkeypatch):
     assert consulted >= 100
 
 
-def _renders(call):
-    """The number of calls of ``parser._render``, the walk under every
-    ``render``, that ``call()`` makes."""
-    code = parser._render.__code__
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_code is code:
-            count += 1
-
-    sys.setprofile(profile)
-    try:
-        call()
-    finally:
-        sys.setprofile(None)
-    return count
-
-
-def test_monadic_game_renders_no_target():
+def test_monadic_game_renders_no_target(renders):
     # two receivers on one channel give every input two targets, so the
     # canonical order ties; a bisimilar monadic pair names no
     # counterexample and reads no order
     p = parse("a?(x).b!<x>.0 | a?(y).c!<y>.0", mode=PI)
     q = parse("a?(y).c!<y>.0 | a?(x).b!<x>.0", mode=PI)
-    assert _renders(lambda: check(p, q, 4)) == 0
+    assert renders(lambda: check(p, q, 4)) == 0
     assert check(p, q, 4).bisimilar
-    assert _renders(lambda: canonical_check(p, q, 4)) > 0
+    assert renders(lambda: canonical_check(p, q, 4)) > 0

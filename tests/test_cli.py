@@ -124,15 +124,26 @@ def test_fresh_start_env(tmp_path):
     ["nonforward", "{p}", "--depth", "-1"],
     ["parse", "{dir}"],
     ["parse", "{latin1}"],
+    ["step", "{p}", "--env", "e,x y"],
+    ["step", "{p}", "--env", "x?"],
+    ["step", "{p}", "--env", "'"],
+    ["encode", "{closed}", "--verify", "--tau", "-1"],
+    ["bisim", "--laws", "--instances", "0"],
+    ["bisim", "--laws", "--instances", "-1"],
 ], ids=["bisim-depth-0", "laws-depth-0", "nonforward-depth-minus-1",
-        "directory", "not-utf-8"])
+        "directory", "not-utf-8", "env-space", "env-question-mark",
+        "env-quote", "verify-tau-minus-1", "laws-instances-0",
+        "laws-instances-minus-1"])
 def test_bad_input_exits_1_with_one_error_line(args, tmp_path):
     p = tmp_path / "p.cpi"
     p.write_text("a!<b>.0")
+    closed = tmp_path / "closed.cpi"
+    closed.write_text("new a,b in (a!<b>.0 | a?(x).0)")
     latin1 = tmp_path / "latin1.cpi"
     latin1.write_bytes("a!<b>.0 | c!<é>.0".encode("latin-1"))
     code, out, err = run_cli(
-        [a.format(p=p, dir=tmp_path, latin1=latin1) for a in args])
+        [a.format(p=p, closed=closed, dir=tmp_path, latin1=latin1)
+         for a in args])
     assert code == 1 and out == "" and "Traceback" not in err, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if args[-1] == "{latin1}":

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import cpi.nonforward
 from cpi.gen import random_cpi_process, random_pi_process
 from cpi.lts import BoundOutAct, Engine, InAct, OutAct, TauAct
 from cpi.nonforward import (
@@ -12,8 +13,8 @@ from cpi.nonforward import (
 )
 from cpi.parser import PI, parse
 from cpi.syntax import (
-    NIL, Par, Prefixed, Receive, Restrict, Send, SortError, canonicalize,
-    chan, free_names, validate_cpi, var,
+    NIL, Par, Prefixed, Receive, Repl, Restrict, Send, SortError,
+    canonicalize, chan, free_names, validate_cpi, var,
 )
 
 SATISFYING = "k?(x).new l in (l!<x>.0 | l?(y).0)"
@@ -159,9 +160,68 @@ def reference_nonforwarding(p, depth):
     return NFVerdict(True, depth)
 
 
-def test_label_only_last_level_matches_full_search():
-    # the last level reads labels only; a search that expands it in full
-    # must give the same verdicts and violations at every depth
+# Parents that share a trace reach one node by different actions: a!<d>
+# after the left receive, a!<b> after the right one.  The node's trace,
+# and so the violation, is that of the canonically first parent.
+CONVERGING = ("new k in ((a?(x).new m in a!<b>.k?(u).s!<u>.0)"
+              " | a?(y).a!<d>.g?(v).k!<v>.0)")
+
+
+# Three receivers on a, in derivation order R1, R2, R3 and in canonical
+# order the reverse.  The node where R1 and R3 have fired is reached from
+# the first (R1 fired) and the third (R3 fired) node of the first level,
+# and ranks by the third, which is canonically first: its violation,
+# p!<#i0>, comes before that of the node where R2 has fired twice.
+SHARED = ("new k in ((a?(x1).new m in k!<k>.0)"
+          " | (a?(y).a?(z).new h in (h!<h>.0 | h?(v).g?(u).q!<u>.0))"
+          " | (a?(x3).k?(v).g?(u).p!<u>.0))")
+
+
+def tie_roots(rng, count):
+    """Roots whose searches meet nodes that share a trace: two or three
+    receivers on one channel, so every free input has two or three
+    targets, two sends of one restricted channel (bound outputs), and a
+    replicated receiver.  Each received name is forwarded, on b or c, so
+    nodes that share a trace can yield different violations."""
+    a, b, c, k, l, w = map(chan, "abcklw")
+    x, y, z = var("xt"), var("yt"), var("zt")
+    roots = [parse("a?(x).c!<x>.0 | a?(y).b!<y>.0", mode=PI),
+             parse(SHARED, mode=PI)]
+    while len(roots) < count:
+        p, q, r = (random_pi_process(rng, rng.randint(1, 4), repl_weight=0.1)
+                   for _ in range(3))
+        fx = Prefixed(Send(rng.choice((b, c)), (x,)), NIL)
+        fy = Prefixed(Send(rng.choice((b, c)), (y,)), NIL)
+        fz = Restrict((l,), Prefixed(Send(w, (l,)), Prefixed(Send(l, (z,)), NIL)))
+        rx = Prefixed(Receive(a, (x,)), Par(p, fx))
+        ry = Prefixed(Receive(a, (y,)), Par(q, fy))
+        roots += [
+            Par(rx, ry),
+            Par(Par(rx, Prefixed(Receive(a, (y,)), q)),
+                Prefixed(Receive(a, (z,)), Par(r, fz))),
+            Par(Repl(rx), ry),
+            Restrict((k,), Par(
+                Prefixed(Send(a, (k,)), Par(p, Prefixed(Receive(k, (x,)), fx))),
+                Par(Prefixed(Send(a, (k,)), q), ry))),
+            Par(Prefixed(Receive(a, (x,)), Par(p, Prefixed(Send(a, (x,)), NIL))), ry),
+        ]
+    return roots[:count]
+
+
+def test_label_only_last_level_matches_full_search(monkeypatch):
+    # the last level reads labels only, and a monadic root is searched
+    # in derivation order; a search that expands every level in full, in
+    # canonical order, must give the same verdicts and violations at
+    # every depth
+    ranked = 0
+    path = cpi.nonforward._path
+
+    def counted(node):
+        nonlocal ranked
+        ranked += 1
+        return path(node)
+
+    monkeypatch.setattr(cpi.nonforward, "_path", counted)
     rng = random.Random(616)
     terms = []
     for i in range(110):
@@ -190,6 +250,7 @@ def test_label_only_last_level_matches_full_search():
         terms += [Par(p, clash) for p in terms[100:104]]
         terms += [Par(clash, p) for p in terms[60:62]]
         clash = Prefixed(Send(w, (w,)), clash)
+    terms += tie_roots(random.Random(4242), 300)
     violations, errors = [], set()
     for i, p in enumerate(terms):
         for depth in range(6) if i % 5 == 0 or i >= n else (i % 6,):
@@ -204,3 +265,32 @@ def test_label_only_last_level_matches_full_search():
     # found on the last level, which reads labels only, at every depth
     assert {d for d, v in violations if v.send_index == d - 1} == {2, 3, 4, 5}
     assert any(isinstance(v.trace[-1], BoundOutAct) for _, v in violations)
+    # nodes that share a trace were ranked to name a violation
+    assert ranked >= 100
+
+
+def test_converging_parents_keep_the_canonical_trace():
+    # the node that both parents reach starts the only violation, six
+    # steps in, so its trace decides the violation's third action: the
+    # canonically first parent's a!<b> (a!<e>), whichever of it and the
+    # other parent's a!<d> has the smaller key
+    for text, third in ((CONVERGING, "b"),
+                        (CONVERGING.replace("a!<b>", "a!<e>"), "e")):
+        p = parse(text, mode=PI)
+        got = check_nonforwarding(p, 6)
+        assert got == reference_nonforwarding(p, 6)
+        assert got.violation.trace[2].objects == (chan(third),)
+
+
+def test_monadic_search_renders_no_target(monkeypatch, renders):
+    # two receivers on one channel give the free input two targets, so
+    # the canonical order ties; a monadic search renders a target only
+    # to rank nodes that share a trace and yield different violations
+    for text, satisfied in (("a?(x).b!<b>.0 | a?(y).b!<b>.0", True),
+                            ("a?(x).b!<x>.0 | a?(y).b!<y>.0", False)):
+        p = parse(text, mode=PI)
+        assert renders(lambda: check_nonforwarding(p, 4)) == 0
+        assert check_nonforwarding(p, 4).satisfied is satisfied
+        with monkeypatch.context() as m:
+            m.setattr(cpi.nonforward, "_monadic", lambda root: False)
+            assert renders(lambda: check_nonforwarding(p, 4)) > 0

@@ -2,8 +2,9 @@
 
 Subcommands: ``parse``, ``step``, ``bisim``, ``nonforward``, ``encode``.
 Exit codes: 0 success; 1 a syntax error, another input error (a
-missing, unreadable or non-UTF-8 file, a depth, budget or count out of
-range, an ``--env`` name that is not an identifier) or a
+missing, unreadable or non-UTF-8 file, two inputs both read from
+standard input, a depth, budget or count out of range, an ``--env``
+name that is not an identifier) or a
 standard output closed before all of it was written; 2 a
 confidential-fragment violation.
 Output does not depend on what ran earlier in the process, so no
@@ -214,6 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        inputs = [getattr(args, k, None) for k in ("file", "other", "witness")]
+        if inputs.count("-") > 1:
+            raise ValueError("only one input can come from standard input ('-')")
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -220,6 +220,8 @@ def check_completeness(p: Process, tau_budget: int = 12,
     The check is one query: its tau closure and all of its games share
     one engine, so no state's transitions are computed twice.
     """
+    if depth < 1:
+        raise ValueError("depth must be positive")
     p = canonicalize(p)
     enc_p = encode_with_handlers(p)
     pending = {q: encode_with_handlers(q) for q in source_reductions(p)}

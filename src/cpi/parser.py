@@ -13,7 +13,9 @@ extend as far right as possible; a prefix dot binds tighter than ``|``.
 
 Name sorts are resolved from binding positions: receive binders are
 variables, restricted names are channels, and free identifiers default to
-channels.
+channels.  The parser names each binder as it reads it, by the next of
+the canonical numbers ``#0, #1, ...``, so what it builds is the
+canonical form and no walk renames it.
 
 The text layer is linear and does not recurse along chains.  The
 tokenizer scans the text once with one pattern and keeps each token's
@@ -28,13 +30,13 @@ is linear in the size of a chain.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .syntax import (
     CHAN, VAR, CpiError, CpiViolation, Name, NIL, Nil, Par, Prefix, Prefixed,
-    Process, Receive, Repl, Restrict, Send, SortError, _numbers,
-    _remember, _rollback, canonicalize, prefix_chain, validate_cpi,
-    wrap_matches,
+    Process, Receive, Repl, Restrict, Send, SortError, _idents, _numbers,
+    _remember, _rollback, prefix_chain, validate_cpi, wrap_matches,
 )
 
 CPI = "cpi"
@@ -99,19 +101,22 @@ def _tokenize(text: str, allow_reserved: bool) -> tuple[list, list[int]]:
     return toks, offsets
 
 
-def _bind(scope: dict[str, Name], trail: list, names: tuple[Name, ...]) -> None:
-    """Bring ``names`` into ``scope``, saving the entries they shadow."""
-    for n in names:
-        trail.append((n.ident, scope.get(n.ident)))
-        scope[n.ident] = n
-
-
 class _Parser:
-    def __init__(self, text: str, toks: list, offsets: list[int]):
+    """One reading of the tokens.  Binders are numbered in reading order,
+    which is the traversal order of :func:`~cpi.syntax.canonicalize`: a
+    prefix before its continuation, the left of '|' before the right.
+    The numbers skip the identifiers in ``avoid``.  ``free`` collects the
+    names of the free identifiers, each once."""
+
+    def __init__(self, text: str, toks: list, offsets: list[int],
+                 avoid: set[str] = frozenset()):
         self.text = text
         self.toks = toks
         self.offsets = offsets
         self.i = 0
+        self.counter = itertools.count()
+        self.numbers = _idents("#", avoid, self.counter)
+        self.free: list[Name] = []
 
     def peek(self) -> str | None:
         return self.toks[self.i]
@@ -145,17 +150,18 @@ class _Parser:
 
     # -- grammar -----------------------------------------------------------
 
-    def parse_process(self, env: dict[str, Name]) -> Process:
-        """A process, parsed in a loop, in the scope ``env``.
+    def parse_process(self) -> Process:
+        """A process, parsed in a loop.
 
-        One scope dict maps each identifier in scope to its name.  A
-        receive or ``new`` saves the outer entries it shadows on a trail,
-        and each '|' chain keeps the trail's length at its start: the
-        scope is rolled back to that mark before each term of the chain.
+        One scope dict maps each identifier in scope to its name, and a
+        free identifier, once met, to its free channel.  A receive or
+        ``new`` saves the outer entries it shadows on a trail, and each
+        '|' chain keeps the trail's length at its start: the scope is
+        rolled back to that mark before each term of the chain.
         ``opened`` keeps, for each '(', '!' or 'new' whose process is
         being read, the '|' chain around it, that chain's mark, the
         prefixes that guard it and its token."""
-        scope = dict(env)
+        scope = dict()
         trail: list = []
         mark = 0
         opened: list = []
@@ -180,9 +186,9 @@ class _Parser:
             if t != "0":
                 channels = None
                 if t == "new":
-                    channels = tuple(Name(CHAN, i) for i in self.take_idents())
+                    idents = self.take_idents()
                     self.take("in")
-                    _bind(scope, trail, channels)
+                    channels = self.bind(scope, trail, idents, CHAN)
                 opened.append((left, mark, prefixes, t, channels))
                 left, mark = None, len(trail)
                 continue
@@ -204,7 +210,8 @@ class _Parser:
                 elif t == "!":
                     p = Repl(p)
                 else:
-                    p = Restrict(channels, p)
+                    for k in reversed(channels):
+                        p = Restrict((k,), p)
 
     def parse_prefix(self, scope: dict[str, Name], trail: list) -> Prefix:
         """A prefix; a receive binds its binders in ``scope``, saving the
@@ -228,21 +235,43 @@ class _Parser:
         if t == "?":
             self.take()
             self.take("(")
-            binders = tuple(Name(VAR, i) for i in self.take_idents())
+            idents = self.take_idents()
             self.take(")")
-            if len(set(binders)) != len(binders):
+            if len(set(idents)) != len(idents):
                 self.fail("pairwise distinct receive binders")
-            _bind(scope, trail, binders)
+            binders = self.bind(scope, trail, idents, VAR)
             return wrap_matches(guards, Receive(subject, binders))
         self.fail("'!' or '?'")
 
-    @staticmethod
-    def _resolve(ident: str, env: dict[str, Name]) -> Name:
-        return env.get(ident, Name(CHAN, ident))
+    def bind(self, scope: dict[str, Name], trail: list, idents: list[str],
+             kind: str) -> tuple[Name, ...]:
+        """Bring ``idents`` into ``scope`` as the next binder numbers, of
+        sort ``kind``, saving the entries they shadow on ``trail``."""
+        names = []
+        for i in idents:
+            n = Name(kind, next(self.numbers))
+            trail.append((i, scope.get(i)))
+            scope[i] = n
+            names.append(n)
+        return tuple(names)
+
+    def _resolve(self, ident: str, scope: dict[str, Name]) -> Name:
+        n = scope.get(ident)
+        if n is None:
+            # free: it stays in scope, where a binder may shadow it
+            n = scope[ident] = Name(CHAN, ident)
+            self.free.append(n)
+        return n
 
 
 def parse(text: str, mode: str = CPI, allow_reserved: bool = False) -> Process:
     """Parse surface text into a canonical process.
+
+    Binders are numbered as they are read, so the tree built is the
+    canonical form, with no renaming walk; it keeps its free names and
+    is marked canonical.  With ``allow_reserved`` a free ``#k`` may be a
+    number that was given out (``k`` below their count), and then the
+    tokens are read once more, the numbers skipping the free identifiers.
 
     In ``cpi`` mode the confidential-fragment validator runs after
     parsing: object/binder sort violations raise :class:`CpiViolation`
@@ -251,11 +280,20 @@ def parse(text: str, mode: str = CPI, allow_reserved: bool = False) -> Process:
     """
     if mode not in (CPI, PI):
         raise ValueError(f"unknown parse mode {mode!r}")
-    parser = _Parser(text, *_tokenize(text, allow_reserved))
-    p = parser.parse_process({})
+    toks, offsets = _tokenize(text, allow_reserved)
+    parser = _Parser(text, toks, offsets)
+    p = parser.parse_process()
     if parser.peek() is not None:
         parser.fail("end of input")
-    p = canonicalize(p)
+    if allow_reserved:
+        used = next(parser.counter)
+        if any(n.ident[0] == "#" and n.ident[1:].isdecimal()
+               and int(n.ident[1:]) < used for n in parser.free):
+            parser = _Parser(text, toks, offsets,
+                             {n.ident for n in parser.free})
+            p = parser.parse_process()
+    _remember(p, "_free", frozenset(parser.free))
+    _remember(p, "_canonical", None)
     report = validate_cpi(p)
     if report.sort_violations:
         v = report.sort_violations[0]
@@ -301,8 +339,10 @@ def _render_prefix(pre: Prefix) -> str:
 
 
 def render(p: Process) -> str:
-    """Minimal-parentheses text for ``p``; reparsing (in ``pi`` mode, with
-    reserved names allowed) yields an alpha-equivalent process.
+    """Minimal-parentheses text for ``p``.  Reparsing it (in ``pi`` mode,
+    with reserved names allowed) yields ``canonicalize(p)`` when no two
+    names of ``p`` of different sorts share an identifier, since the text
+    does not show a name's sort.
 
     One walk with an explicit stack appends the parts of the text and
     joins them once, so the depth of ``p`` is no limit.  Terms are

@@ -6,8 +6,9 @@ Nil, prefixing, parallel composition, channel restriction and replication;
 prefixes are polyadic sends, polyadic receives and match guards.
 
 Identifiers starting with ``#`` are reserved: they are produced by the
-canonicalizer, the substitution engine, the transition engine and the
-encoder, and are rejected by the surface parser.
+canonicalizer (and by the parser, which numbers binders as it does), the
+substitution engine, the transition engine and the encoder, and the
+surface parser rejects them in its input unless asked to accept them.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ class ReservedNameError(CpiError):
 # Structurally equal terms are therefore the same object, so equality and
 # hashing are by identity and cost O(1) however large the term, and a
 # function of a term computed once (its free names, its canonical form,
-# its rendering) can be kept on the node.  :func:`canonicalize` notes the
-# free names as it renumbers, so one walk gives both; it walks a second
-# time only when a free ``#k`` identifier may collide with a binder
-# number.  The table holds nodes weakly: it never keeps a term alive, a
+# its rendering) can be kept on the node.  The walk that makes a term's
+# nameless form (:func:`nameless`) notes its free names, so one walk gives
+# both, and the parser notes the free names of what it reads.  The table
+# holds nodes weakly: it never keeps a term alive, a
 # node's memoised values are freed with it, and what the table holds
 # never changes an answer.  (Filliâtre & Conchon, *Type-safe modular
 # hash-consing*, ML Workshop 2006.)
@@ -303,8 +304,9 @@ Prefix = Union[Send, Receive, Match]
 
 
 class _Process(_Node):
-    # Memoised per node: _free by free_names and canonicalize, _canonical
-    # by canonicalize, _nameless by nameless, _text by parser.render.
+    # Memoised per node: _free by free_names, nameless, canonicalize and
+    # parser.parse; _canonical by canonicalize and parser.parse; _nameless
+    # by nameless and canonicalize; _text by parser.render.
     __slots__ = ("_free", "_canonical", "_nameless", "_text")
 
 
@@ -380,9 +382,9 @@ def wrap_matches(guards: Iterable[tuple[Name, Name]], core: Prefix) -> Prefix:
 # its length at a '|' before the right is walked.  A walk that builds a
 # term pushes one-hole contexts on the way down and fills them on the way
 # up (_fill): a prefix, for ``prefix.hole``, or one of these tuples.
-# canonicalize's walk (_renumber) and the walk of nameless terms (_walk)
-# fill their own contexts in the same loop, each keeping the node it came
-# from, so that a node whose parts come back unchanged is reused.  A function that would call itself on
+# The walk of nameless terms (_walk) fills its own contexts in the same
+# loop, each keeping the node it came from, so that a node whose parts
+# come back unchanged is reused.  A function that would call itself on
 # anything else, a round of the bisimulation game or a subterm of the
 # random generator, is a generator run by ``drive``.
 _RIGHT = 0      # (_RIGHT, right, mark): the right of a '|', still to walk
@@ -715,178 +717,26 @@ def canonicalize(p: Process) -> Process:
     Two processes are alpha-equivalent iff their canonical forms are
     structurally equal; the result obeys the Barendregt convention.
 
-    One walk numbers the binders skipping nothing and notes every name
-    it meets free; both ``p`` and its canonical form keep that set as
-    their :func:`free_names`.  Only when a free identifier is ``#k``
-    with ``k`` below the count of numbers used can the numbering have
-    captured it, and only then does a second walk skip the free
-    identifiers.  A nameless ``p`` (see :class:`Idx`) is named in one
-    walk, its free names known, each time it is asked.
+    The form is the naming of ``nameless(p)`` (:func:`_name`), so a
+    named ``p`` costs two walks the first time it is asked; the parser
+    builds canonical forms without a walk and marks them so.  A form is
+    its own (recorded as None), keeps its free names and its nameless
+    form.  A named ``p`` keeps its form; a nameless ``p`` (see
+    :class:`Idx`) does not, since its form keeps it, and nodes must not
+    make a reference cycle.
     """
     c = getattr(p, "_canonical", _UNSET)
-    if c is _UNSET:
-        walked = _renumber(p, set())
-        if walked is None:
-            # Not kept on ``p``: the canonical form may keep ``p`` as its
-            # nameless form, and nodes must not make a reference cycle.
-            c = _name(p)
-            _remember(c, "_free", free_names(p))
-            _remember(c, "_canonical", None)
-            return c
-        c, free, used = walked
-        free = frozenset(free)
-        if _may_collide((n.ident for n in free), used):
-            c = _renumber(p, {n.ident for n in free})[0]
-        _remember(p, "_free", free)
-        if c is not p:
+    if c is not _UNSET:
+        return p if c is None else c
+    n = nameless(p)
+    c = _name(n)
+    _remember(c, "_free", free_names(n))
+    _remember(c, "_canonical", None)
+    if c is not n:
+        _remember(c, "_nameless", n)
+        if n is not p and c is not p:
             _remember(p, "_canonical", c)
-            _remember(c, "_free", free)
-        # The renaming is idempotent, so a canonical form is its own
-        # (recorded as None: a node must not refer to itself).
-        _remember(c, "_canonical", None)
-        return c
-    return p if c is None else c
-
-
-def _may_collide(idents: Iterable[str], used: int) -> bool:
-    """Whether one of the free ``idents`` may be a binder number
-    ``#0 .. #<used - 1>`` that a numbering skipping nothing gave out."""
-    return any(i[0] == "#" and i[1:].isdecimal() and int(i[1:]) < used
-               for i in idents)
-
-
-def _renumber(t: Process, avoid: set[str]) -> tuple[Process, set[Name], int]:
-    """One renaming pass of :func:`canonicalize`: the copy of ``t`` whose
-    binders are numbered in traversal order, skipping ``avoid``, the free
-    names met, and the count of numbers used.  ``env`` maps each binder
-    in scope to its number and each free name met to itself, so a name
-    costs one ``env.get``, which renames it, and only the first
-    occurrence of a free name is noted.  (A binder's scope saves and
-    restores a free name's entry like any other.)
-
-    Each context on ``todo`` keeps the node it came from: a prefixed
-    node or a '!' itself, or ``(node, part)`` with the copy of the part
-    beside the hole (the left of a '|', the one channel of a
-    restriction) or, for a '|' whose right is still to walk, the trail
-    mark to roll back to.  A renamed prefix is pushed alone.  A node
-    whose parts come back as the very objects it holds is its own copy,
-    with no table lookup, so an already canonical term is rebuilt
-    nowhere.  Every node is still visited.  None if ``t`` is nameless:
-    its first binder is an index."""
-    counter = itertools.count()
-    numbers = _idents("#", avoid, counter)
-    free: set[Name] = set()
-    env: dict[Name, Name] = {}
-    trail: list = []
-    todo: list = []
-    while True:
-        kind = type(t)
-        if kind is Prefixed:
-            pre = core = t.prefix
-            guards = None
-            while type(core) is Match:
-                a, b = core.lhs, core.rhs
-                a2 = env.get(a)
-                if a2 is None:
-                    free.add(a)
-                    env[a] = a2 = a
-                b2 = env.get(b)
-                if b2 is None:
-                    free.add(b)
-                    env[b] = b2 = b
-                if guards is None:
-                    guards, renamed = [], False
-                guards.append((a2, b2))
-                if a2 is not a or b2 is not b:
-                    renamed = True
-                core = core.inner
-            inner = core
-            s = core.subject
-            s2 = env.get(s)
-            if s2 is None:
-                free.add(s)
-                env[s] = s2 = s
-            kind = type(core)
-            if kind is Send:
-                objs = []
-                for o in core.objects:
-                    o2 = env.get(o)
-                    if o2 is None:
-                        free.add(o)
-                        env[o] = o2 = o
-                    objs.append(o2)
-                objs = tuple(objs)
-                if s2 is not s or objs != core.objects:
-                    core = Send(s2, objs)
-            elif kind is Receive:
-                bs = []
-                if type(core.binders[0]) is Idx:
-                    return None
-                for b in core.binders:
-                    trail.append((b, env.get(b)))
-                    env[b] = nb = Name(VAR, next(numbers))
-                    bs.append(nb)
-                bs = tuple(bs)
-                if s2 is not s or bs != core.binders:
-                    core = Receive(s2, bs)
-            else:
-                raise TypeError(core)
-            if guards is not None:
-                core = (wrap_matches(guards, core)
-                        if renamed or core is not inner else pre)
-            todo.append(t if core is pre else core)
-            t = t.continuation
-            continue
-        if kind is Par:
-            todo.append((t, len(trail)))
-            t = t.left
-            continue
-        if kind is Restrict:
-            if type(t.channels[0]) is Idx:
-                return None
-            # one restriction per channel
-            for k in t.channels:
-                trail.append((k, env.get(k)))
-                env[k] = nk = Name(CHAN, next(numbers))
-                todo.append((t, (nk,)))
-            t = t.body
-            continue
-        if kind is Repl:
-            todo.append(t)
-            t = t.body
-            continue
-        if kind is not Nil:
-            raise TypeError(t)
-        # Fill the contexts with ``out``, last first, up to a '|' whose
-        # right is still to walk.
-        out = t
-        while todo:
-            node = todo.pop()
-            kind = type(node)
-            if kind is Prefixed:
-                if out is not node.continuation:
-                    node = Prefixed(node.prefix, out)
-            elif kind is tuple:
-                node, part = node
-                if type(part) is int:
-                    if len(trail) > part:
-                        _rollback(env, trail, part)
-                    todo.append((node, out))
-                    t = node.right
-                    break
-                if type(node) is Par:
-                    if part is not node.left or out is not node.right:
-                        node = Par(part, out)
-                elif out is not node.body or part != node.channels:
-                    node = Restrict(part, out)
-            elif kind is Repl:
-                if out is not node.body:
-                    node = Repl(out)
-            else:
-                node = Prefixed(node, out)
-            out = node
-        else:
-            return out, free, next(counter)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -905,9 +755,10 @@ def _walk(t: Process, enter, name, mark, restore) -> Process:
     """The copy of ``t`` under a scope, in the traversal discipline.  A
     named nest of restrictions is entered as one group; a group that
     comes out named is restricted one channel each, as canonical forms
-    are.  Each context on ``todo`` keeps the node it came from, as in
-    :func:`_renumber`: a node whose parts come back as the very objects
-    it holds is its own copy."""
+    are.  Each context on ``todo`` keeps the node it came from, and a
+    node whose parts come back as the very objects it holds is its own
+    copy, with no table lookup: a term the scope leaves unchanged is
+    rebuilt nowhere."""
     todo: list = []
     while True:
         kind = type(t)
@@ -1210,7 +1061,7 @@ def _scope(t: Process, at: Optional[Process] = None,
 
 
 def alpha_equivalent(p: Process, q: Process) -> bool:
-    return canonicalize(p) == canonicalize(q)
+    return nameless(p) is nameless(q)
 
 
 # ---------------------------------------------------------------------------

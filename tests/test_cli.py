@@ -130,10 +130,14 @@ def test_fresh_start_env(tmp_path):
     ["encode", "{closed}", "--verify", "--tau", "-1"],
     ["bisim", "--laws", "--instances", "0"],
     ["bisim", "--laws", "--instances", "-1"],
+    ["encode", "-", "--verify", "--depth", "0"],
+    ["bisim", "-", "-"],
+    ["nonforward", "-", "--witness", "-"],
 ], ids=["bisim-depth-0", "laws-depth-0", "nonforward-depth-minus-1",
         "directory", "not-utf-8", "env-space", "env-question-mark",
         "env-quote", "verify-tau-minus-1", "laws-instances-0",
-        "laws-instances-minus-1"])
+        "laws-instances-minus-1", "verify-depth-0-no-reduction",
+        "bisim-stdin-twice", "witness-stdin-twice"])
 def test_bad_input_exits_1_with_one_error_line(args, tmp_path):
     p = tmp_path / "p.cpi"
     p.write_text("a!<b>.0")
@@ -141,9 +145,10 @@ def test_bad_input_exits_1_with_one_error_line(args, tmp_path):
     closed.write_text("new a,b in (a!<b>.0 | a?(x).0)")
     latin1 = tmp_path / "latin1.cpi"
     latin1.write_bytes("a!<b>.0 | c!<é>.0".encode("latin-1"))
+    # standard input holds a closed source with no reduction
     code, out, err = run_cli(
         [a.format(p=p, closed=closed, dir=tmp_path, latin1=latin1)
-         for a in args])
+         for a in args], "new a in a!<a>.0\n")
     assert code == 1 and out == "" and "Traceback" not in err, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if args[-1] == "{latin1}":

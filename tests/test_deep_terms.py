@@ -117,7 +117,7 @@ def test_walks_do_not_recurse(shape, shallow):
     # caller: one that recursed per level would raise RecursionError.
     text = SHALLOW_SHAPES[shape]
     tree = shallow(parser._Parser(text, *parser._tokenize(text, False))
-                   .parse_process, {})
+                   .parse_process)
     for walk in (free_names, fnn, free_output_objects, bound_names,
                  validate_cpi, render):
         shallow(walk, tree)
@@ -219,7 +219,7 @@ def test_no_function_recurses():
     # bisimulation game and the random generator run on syntax.drive:
     # no function reaches itself, directly or through others
     calls = _call_graph()
-    assert len(calls) > 150 and "syntax._renumber" in calls
+    assert len(calls) > 150 and "syntax._walk" in calls
 
     def reaches_itself(f):
         seen, todo = set(), list(calls[f])

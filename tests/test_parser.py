@@ -118,7 +118,6 @@ def _scope_cases():
 
 @pytest.mark.parametrize("text, tree", _scope_cases())
 def test_scopes_end_where_their_process_ends(text, tree):
-    assert parser._Parser(text, *parser._tokenize(text, False)).parse_process({}) is tree
     assert parse(text, mode=PI) is canonicalize(tree)
 
 

@@ -23,10 +23,10 @@ from cpi.lts import BoundOutAct
 from cpi.parser import PI, parse, render
 from cpi.syntax import (
     Match, NIL, Name, Nil, Par, Prefixed, Receive, Repl, Restrict, Send,
-    SubstitutionDomainError, ValidationReport, Violation, _renumber,
+    SortError, SubstitutionDomainError, ValidationReport, Violation, _reindex,
     alpha_equivalent, bound_names, canonicalize, chan, fnn, free_names,
     free_output_objects, nameless, par, prefix_chain, substitute,
-    validate_cpi, var,
+    validate_cpi, var, wrap_matches,
 )
 
 CORPUS_SCRIPTS = sorted(
@@ -220,23 +220,24 @@ def test_canonicalize_flattens_multi_restrict():
 
 def test_canonical_form_is_its_own_canonical_form():
     # canonicalize records its result as canonical without recomputing;
-    # a fresh renaming pass must agree
+    # the reference renaming must agree
     rng = random.Random(7)
     for _ in range(200):
         p = random_pi_process(rng, rng.randint(1, 12), repl_weight=0.1)
         cp = canonicalize(p)
-        assert _renumber(cp, {n.ident for n in free_names(cp)})[0] is cp
+        assert canonicalize(cp) is cp and _reference_canonical(cp) is cp
 
 
-# The nodes a renaming may rebuild (names aside), and their constructors'
-# code, which classes with the same number of fields share.
+# The nodes a walk may rebuild (names and indices aside), and their
+# constructors' code, which classes with the same number of fields share.
 _BUILT = (Match, Send, Receive, Prefixed, Par, Restrict, Repl)
 _BUILDERS = {cls.__new__.__code__ for cls in _BUILT}
 
 
 def test_canonical_walk_rebuilds_no_canonical_term():
-    # every node of a canonical form comes back as itself: the walk calls
-    # no constructor and the intern table does not grow
+    # every node of a nameless form comes back as itself from a walk that
+    # replaces nothing: it calls no constructor and the intern table does
+    # not grow
     built = []
 
     def note(frame, event, arg):
@@ -246,26 +247,26 @@ def test_canonical_walk_rebuilds_no_canonical_term():
 
     walked = 0
     for p in itertools.islice(_canonicalize_cases(), 1500):
-        c = canonicalize(p)
-        avoid = {n.ident for n in free_names(c)}
+        n = nameless(p)
         # no collection may free a node meanwhile
         gc.disable()
         before = len(syntax._nodes)
         sys.setprofile(note)
         try:
-            same = _renumber(c, avoid)[0] is c
+            same = _reindex(n) is n
         finally:
             sys.setprofile(None)
             gc.enable()
-        assert same and not built, (render(c), built)
-        assert len(syntax._nodes) == before, render(c)
-        walked += type(c) is not Nil
+        assert same and not built, (render(n), built)
+        assert len(syntax._nodes) == before, render(n)
+        walked += type(n) is not Nil
     assert walked >= 1000
 
 
 def test_canonical_walk_rebuilds_what_it_renames():
     # a node is its own copy only when every part comes back unchanged;
-    # in each case one part is renamed and the others are not
+    # in each case one part is renamed and the others are not, in the
+    # nameless form and in its naming
     h0, h1, k0, k1 = var("#0"), var("#1"), chan("#0"), chan("#1")
     send = Send(a, (b,))
 
@@ -300,7 +301,7 @@ def test_canonical_walk_rebuilds_what_it_renames():
          recv(h0, Prefixed(Send(h0, (a,)), NIL))),
     ]
     for p, want in cases:
-        assert _renumber(p, set())[0] is want, render(p)
+        assert canonicalize(p) is want, render(p)
 
 
 def test_canonicalize_skips_free_reserved_idents():
@@ -494,6 +495,49 @@ def _reference_free(t, bound=frozenset()):
     return set()
 
 
+def _reference_canonical(p):
+    """The canonical form of ``p`` by its definition: number the binders
+    in traversal order skipping the free identifiers, copying the
+    environment at every binder, and nest one restriction per channel."""
+    avoid = {n.ident for n in _reference_free(p)}
+    numbers = (f"#{k}" for k in itertools.count() if f"#{k}" not in avoid)
+
+    def rename(n, env):
+        return env.get(n, n)
+
+    def prefix(pre, env):
+        if isinstance(pre, Match):
+            inner, env2 = prefix(pre.inner, env)
+            return Match(rename(pre.lhs, env), rename(pre.rhs, env), inner), env2
+        s = rename(pre.subject, env)
+        if isinstance(pre, Send):
+            return Send(s, tuple(rename(o, env) for o in pre.objects)), env
+        env2 = dict(env)
+        for bn in pre.binders:
+            env2[bn] = var(next(numbers))
+        return Receive(s, tuple(env2[bn] for bn in pre.binders)), env2
+
+    def walk(t, env):
+        if isinstance(t, Prefixed):
+            pre, env2 = prefix(t.prefix, env)
+            return Prefixed(pre, walk(t.continuation, env2))
+        if isinstance(t, Par):
+            return Par(walk(t.left, env), walk(t.right, env))
+        if isinstance(t, Restrict):
+            env2 = dict(env)
+            for k in t.channels:
+                env2[k] = chan(next(numbers))
+            out = walk(t.body, env2)
+            for k in reversed(t.channels):
+                out = Restrict((env2[k],), out)
+            return out
+        if isinstance(t, Repl):
+            return Repl(walk(t.body, env))
+        return t
+
+    return walk(p, {})
+
+
 def _binder_count(t):
     """How many binder numbers a renaming of ``t`` gives out."""
     if isinstance(t, Prefixed):
@@ -509,17 +553,61 @@ def _binder_count(t):
     return 0
 
 
-def _surface_tree(text):
-    """The parser's tree for ``text``, before parse canonicalizes it."""
-    return parser._Parser(text, *parser._tokenize(text, False)).parse_process({})
+def _source_named(c, env=None, depth=0, avoid=None):
+    """The canonical ``c`` with its binders named as a script names them:
+    binder ``d`` of those in scope is ``x_d`` if received and ``k_d`` if
+    restricted, and a nest of restrictions is one restriction.  So
+    binders in sibling components share identifiers, and no binder
+    captures a name."""
+    if env is None:
+        env, avoid = {}, {n.ident for n in _reference_free(c)}
+
+    def fresh(kind, d):
+        ident = ("x_" if kind == "var" else "k_") + str(d)
+        while ident in avoid:
+            ident += "_"
+        return Name(kind, ident)
+
+    def rename(n):
+        return env.get(n, n)
+
+    if isinstance(c, Prefixed):
+        guards, core = prefix_chain(c.prefix)
+        guards = [(rename(a), rename(b)) for a, b in guards]
+        if isinstance(core, Send):
+            core = Send(rename(core.subject), tuple(map(rename, core.objects)))
+            inner = env
+        else:
+            inner = dict(env)
+            bs = tuple(fresh("var", depth + i) for i in range(len(core.binders)))
+            inner.update(zip(core.binders, bs))
+            core = Receive(rename(core.subject), bs)
+            depth += len(bs)
+        cont = _source_named(c.continuation, inner, depth, avoid)
+        return Prefixed(wrap_matches(guards, core), cont)
+    if isinstance(c, Par):
+        return Par(_source_named(c.left, env, depth, avoid),
+                   _source_named(c.right, env, depth, avoid))
+    if isinstance(c, Restrict):
+        ks, body = list(c.channels), c.body
+        while isinstance(body, Restrict):
+            ks += body.channels
+            body = body.body
+        inner = dict(env)
+        named = tuple(fresh("chan", depth + i) for i in range(len(ks)))
+        inner.update(zip(ks, named))
+        return Restrict(named, _source_named(body, inner, depth + len(ks), avoid))
+    if isinstance(c, Repl):
+        return Repl(_source_named(c.body, env, depth, avoid))
+    return c
 
 
 def _canonicalize_cases():
     for f in CORPUS_SCRIPTS:
-        p = _surface_tree(f.read_text())
-        yield p
+        c = parse(f.read_text(), mode=PI)
+        yield _source_named(c)
         try:
-            yield encode(canonicalize(p))
+            yield encode(c)
         except SourceModeError:
             pass
     # a free '#0' met only as a guard name, a send object or a receive's
@@ -546,15 +634,16 @@ def _canonicalize_cases():
 
 
 def test_canonicalize_agrees_with_two_walks():
-    # one walk that notes the free names, and a second only on a '#k'
-    # collision, gives what the free-name walk and a renaming skipping
-    # the free identifiers give, and the same free names
-    seen = {"walked": 0, "second_walk": 0, "hash_free_one_walk": 0,
+    # the naming of the nameless form gives what the free-name walk and a
+    # renaming skipping the free identifiers give, and the same free
+    # names; the cases hold free '#k' names that a numbering skipping
+    # nothing would give out (collisions) and others it would not
+    seen = {"walked": 0, "collides": 0, "hash_free_no_collision": 0,
             "shadowing": 0, "encoded": 0}
     for p in _canonicalize_cases():
         walked = not hasattr(p, "_canonical")
         free = _reference_free(p)
-        want = _renumber(p, {n.ident for n in free})[0]
+        want = _reference_canonical(p)
         got = canonicalize(p)
         assert got is want, render(p)
         assert free_names(p) == free, render(p)
@@ -563,13 +652,75 @@ def test_canonicalize_agrees_with_two_walks():
             continue
         numbers = [int(n.ident[1:]) for n in free
                    if n.ident[0] == "#" and n.ident[1:].isdecimal()]
-        second = any(k < _binder_count(p) for k in numbers)
+        collides = any(k < _binder_count(p) for k in numbers)
         seen["walked"] += 1
-        seen["second_walk"] += second
-        seen["hash_free_one_walk"] += bool(numbers) and not second
+        seen["collides"] += collides
+        seen["hash_free_no_collision"] += bool(numbers) and not collides
         seen["shadowing"] += _shadows(p)
         seen["encoded"] += "#n_" in render(p)
     assert seen["walked"] >= 1000 and min(seen.values()) >= 40, seen
+
+
+def _parse_cases():
+    """Named terms whose text the parser reads: criterion 8's random
+    terms, the corpus scripts as scripts name their binders, and terms
+    whose free names look like binder numbers ('#0', '#3', '#30'),
+    shadowed by '#' binders or not.  A text names a variable and a
+    channel alike, so no variable binder shares an identifier with a
+    channel."""
+    rng = random.Random(1008)
+    for _ in range(1000):
+        yield random_pi_process(rng, rng.randint(1, 12), repl_weight=0.1)
+    for f in CORPUS_SCRIPTS:
+        yield _source_named(parse(f.read_text(), mode=PI))
+    rng = random.Random(1313)
+    free = (chan("#0"), chan("#3"), chan("#30"), a, b)
+    received = (var("#2"), var("#4"), var("src1"))
+    for i in range(600):
+        reserved = i % 4 // 2
+        yield rough_process(
+            rng, rng.randint(2, 16), channels=rng.sample(free, 2),
+            restricted=(RESTRICTED, RESERVED_RESTRICTED)[reserved],
+            received=(RECEIVED, received)[reserved])
+
+
+def test_parse_builds_the_canonical_form(monkeypatch):
+    # the parser numbers binders as it reads them: what it returns is the
+    # canonical form, its free names kept, with no canonicalizing walk;
+    # a free '#k' that the numbering gave out makes it read once more
+    calls = {"canonicalize": 0, "_convert": 0, "_name": 0}
+    for f in calls:
+        def counted(*args, f=f, call=getattr(syntax, f)):
+            calls[f] += 1
+            return call(*args)
+        monkeypatch.setattr(syntax, f, counted)
+    readings = []
+
+    class Counted(parser._Parser):
+        def __init__(self, *args):
+            readings[-1] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(parser, "_Parser", Counted)
+    seen = {"parsed": 0, "reserved": 0, "read_twice": 0, "sort_error": 0}
+    for t in _parse_cases():
+        text = render(t)
+        reserved = "#" in text
+        readings.append(0)
+        try:
+            p = parse(text, mode=PI, allow_reserved=reserved)
+        except SortError:
+            seen["sort_error"] += 1
+            continue
+        assert calls == dict.fromkeys(calls, 0), (text, calls)
+        assert getattr(p, "_free", None) == _reference_free(t), text
+        assert p is _reference_canonical(t), text
+        seen["parsed"] += 1
+        seen["reserved"] += reserved
+        seen["read_twice"] += readings[-1] == 2
+        assert readings[-1] == 1 or reserved, text
+    assert seen["parsed"] >= 1300 and seen["reserved"] >= 200, seen
+    assert seen["read_twice"] >= 40, seen
 
 
 def test_nameless_form_names_back_to_the_canonical_form():
@@ -745,49 +896,6 @@ def _rec_subst(p, m, domain):
     return p
 
 
-def _rec_canonicalize(p):
-    """canonicalize as the recursive walk computed it: number the binders
-    skipping the free '#k' identifiers, copying the environment at every
-    binder, and nest one restriction per channel."""
-    avoid = {n.ident for n in _rec_names(p, "free")}
-    numbers = (f"#{k}" for k in itertools.count() if f"#{k}" not in avoid)
-
-    def rename(n, env):
-        return env.get(n, n)
-
-    def prefix(pre, env):
-        if isinstance(pre, Match):
-            inner, env2 = prefix(pre.inner, env)
-            return Match(rename(pre.lhs, env), rename(pre.rhs, env), inner), env2
-        s = rename(pre.subject, env)
-        if isinstance(pre, Send):
-            return Send(s, tuple(rename(o, env) for o in pre.objects)), env
-        env2 = dict(env)
-        for bn in pre.binders:
-            env2[bn] = var(next(numbers))
-        return Receive(s, tuple(env2[bn] for bn in pre.binders)), env2
-
-    def walk(t, env):
-        if isinstance(t, Prefixed):
-            pre, env2 = prefix(t.prefix, env)
-            return Prefixed(pre, walk(t.continuation, env2))
-        if isinstance(t, Par):
-            return Par(walk(t.left, env), walk(t.right, env))
-        if isinstance(t, Restrict):
-            env2 = dict(env)
-            for k in t.channels:
-                env2[k] = chan(next(numbers))
-            out = walk(t.body, env2)
-            for k in reversed(t.channels):
-                out = Restrict((env2[k],), out)
-            return out
-        if isinstance(t, Repl):
-            return Repl(walk(t.body, env))
-        return t
-
-    return walk(p, {})
-
-
 def _walk_cases():
     """_canonicalize_cases, then 2,000 seeded pi terms with their
     canonical forms and translations."""
@@ -796,7 +904,7 @@ def _walk_cases():
     for _ in range(2000):
         p = random_pi_process(rng, rng.randint(1, 24), repl_weight=0.1)
         yield p
-        yield _rec_canonicalize(p)
+        yield _reference_canonical(p)
         yield encode(p)
 
 
@@ -814,7 +922,7 @@ def test_walks_agree_with_recursive_walks():
         want = {w: _rec_names(p, w) for w in ("free", "fnn", "outputs")}
         assert free_output_objects(p) == want["outputs"], render(p)
         assert fnn(p) == want["fnn"], render(p)
-        assert canonicalize(p) is _rec_canonicalize(p), render(p)
+        assert canonicalize(p) is _reference_canonical(p), render(p)
         assert free_names(p) == want["free"], render(p)
         # a substitution into the term, whose range often meets a binder
         idents = sorted({n.ident for n in bound_names(p)} | {"a", "#s0"})

@@ -262,17 +262,18 @@ def test_engine_path_names_only_roots_and_reported_states(monkeypatch):
             return walk(t, *args)
         return watched
 
-    def query(call):
+    def query(call, count):
+        # a call whose first ``count`` arguments are its roots
         def asked(*args):
-            roots.extend(a for a in args[:2] if type(a) is not int)
+            roots.extend(args[:count])
             return call(*args)
         return asked
 
     monkeypatch.setattr(syntax, "_convert", watch(syntax._convert))
     monkeypatch.setattr(syntax, "_name", watch(syntax._name))
-    monkeypatch.setattr(bisim, "check", query(bisim.check))
-    monkeypatch.setattr(encoding, "check", query(encoding.check))
-    monkeypatch.setattr(encoding, "tau_levels", query(encoding.tau_levels))
+    monkeypatch.setattr(bisim, "check", query(bisim.check, 2))
+    monkeypatch.setattr(encoding, "check", query(encoding.check, 2))
+    monkeypatch.setattr(encoding, "tau_levels", query(encoding.tau_levels, 1))
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     p = parse((corpus / "encoding" / "two_pairs.cpi").read_text(), mode=PI)
     for run in (lambda: check_completeness(p), lambda: law_suite(5, 2, 4)):

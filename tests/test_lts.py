@@ -250,15 +250,15 @@ def test_tau_reachable():
 
 
 def test_engine_path_names_only_roots_and_reported_states(monkeypatch):
-    # states inside the engine are nameless, so a walk between named and
-    # nameless terms (the conversion of a named term, or the namer of a
-    # nameless state) runs only for a query's roots and for a state a
-    # report prints, and at most 10 times for the latter
-    walked, roots = [], []
+    # states inside the engine are nameless, so the namer of a nameless
+    # state runs only for the root and for a state a report prints, at
+    # most 10 times; the conversion of a named term runs only for a
+    # query's roots, and once each, since a term keeps its nameless form
+    named, converted, roots = [], [], []
 
-    def watch(walk):
+    def watch(walk, into):
         def watched(t, *args):
-            walked.append(t)
+            into.append(t)
             return walk(t, *args)
         return watched
 
@@ -269,26 +269,28 @@ def test_engine_path_names_only_roots_and_reported_states(monkeypatch):
             return call(*args)
         return asked
 
-    monkeypatch.setattr(syntax, "_convert", watch(syntax._convert))
-    monkeypatch.setattr(syntax, "_name", watch(syntax._name))
+    monkeypatch.setattr(syntax, "_convert", watch(syntax._convert, converted))
+    monkeypatch.setattr(syntax, "_name", watch(syntax._name, named))
     monkeypatch.setattr(bisim, "check", query(bisim.check, 2))
     monkeypatch.setattr(encoding, "check", query(encoding.check, 2))
     monkeypatch.setattr(encoding, "tau_levels", query(encoding.tau_levels, 1))
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     p = parse((corpus / "encoding" / "two_pairs.cpi").read_text(), mode=PI)
-    for run in (lambda: check_completeness(p), lambda: law_suite(5, 2, 4)):
-        walked.clear()
+    for run, named_roots in ((lambda: check_completeness(p), [p]),
+                             (lambda: law_suite(5, 2, 4), [])):
+        named.clear()
+        converted.clear()
         roots.clear()
         printed = json.dumps(run().to_json())
-        states = list(walked)
-        allowed = {render(canonicalize(r)) for r in [p, *roots]}
-        reported = 0
+        states, terms = list(named), list(converted)
+        assert len(states) <= 10, len(states)
+        allowed = {render(canonicalize(r)) for r in named_roots}
         for t in states:
             text = render(canonicalize(t))
-            if text not in allowed:
-                assert text in printed, text
-                reported += 1
-        assert reported <= 10, reported
+            assert text in allowed or text in printed, text
+        asked = {id(r) for r in [p, *roots]}
+        assert all(id(t) in asked for t in terms), [render(t) for t in terms]
+        assert len({id(t) for t in terms}) == len(terms), len(terms)
 
 
 def test_successors_deterministic_order():

@@ -263,10 +263,44 @@ def test_canonical_walk_rebuilds_no_canonical_term():
     assert walked >= 1000
 
 
+def _nodes(t):
+    """The nodes of ``t``, prefixes among them."""
+    out = [t]
+    if type(t) is Prefixed:
+        pre = t.prefix
+        while type(pre) is Match:
+            out.append(pre)
+            pre = pre.inner
+        out += [pre, *_nodes(t.continuation)]
+    elif type(t) is Par:
+        out += _nodes(t.left) + _nodes(t.right)
+    elif type(t) in (Restrict, Repl):
+        out += _nodes(t.body)
+    return out
+
+
+def _built_by(walk, t):
+    """What ``walk(t)`` returns, and the nodes its constructors returned."""
+    built = []
+
+    def note(frame, event, arg):
+        if (event == "return" and frame.f_code in _BUILDERS
+                and frame.f_locals["cls"] in _BUILT):
+            built.append(arg)
+
+    sys.setprofile(note)
+    try:
+        out = walk(t)
+    finally:
+        sys.setprofile(None)
+    return out, built
+
+
 def test_canonical_walk_rebuilds_what_it_renames():
-    # a node is its own copy only when every part comes back unchanged;
-    # in each case one part is renamed and the others are not, in the
-    # nameless form and in its naming
+    # a node is its own copy only when every part comes back unchanged:
+    # each walk of canonicalize, the conversion to the nameless form and
+    # its naming, builds just the nodes of its result that its input does
+    # not hold; in each case one part is renamed and the others are not
     h0, h1, k0, k1 = var("#0"), var("#1"), chan("#0"), chan("#1")
     send = Send(a, (b,))
 
@@ -301,7 +335,13 @@ def test_canonical_walk_rebuilds_what_it_renames():
          recv(h0, Prefixed(Send(h0, (a,)), NIL))),
     ]
     for p, want in cases:
-        assert canonicalize(p) is want, render(p)
+        n = nameless(want)
+        for walk, t, out in ((lambda t: syntax._convert(t)[0], p, n),
+                             (syntax._name, n, want)):
+            got, built = _built_by(walk, t)
+            assert got is out, render(p)
+            new = {id(s) for s in _nodes(got)} - {id(s) for s in _nodes(t)}
+            assert {id(s) for s in built} == new, (render(p), built)
 
 
 def test_canonicalize_skips_free_reserved_idents():

@@ -9,17 +9,12 @@ its targets are never built.  A positive answer is a bounded
 certificate, never a proof of full bisimilarity, and means the same as
 if the last round had been expanded in full.
 
-The game's answer is defined by the canonical order of moves, that of
-:meth:`lts.Engine.successors`: a counterexample is the attacker's first
-winning move in that order, followed by the counterexample of the
-defender's first reply in that order.  Building that order renders every
-target that shares its action with another.  The game reads the
-engine's one view, each action's targets in derivation order
-(:meth:`lts.Engine.moves`), and a monadic pair is played in that order:
-it consults the canonical order only to name a counterexample, and its
-verdicts and counterexamples are the same.  Only a polyadic pair, which
-may meet an arity clash, is played in canonical order
-(:meth:`lts.Engine.ordered`).
+The game's answer is defined by the engine's one order of moves
+(:meth:`lts.Engine.moves`, the order of :meth:`lts.Engine.successors`):
+a counterexample is the attacker's first winning move in that order,
+followed by the counterexample of the defender's first reply in that
+order.  The game visits moves in that same order, so the first winner
+and the first reply it meets decide, and no target is rendered.
 """
 
 from __future__ import annotations
@@ -28,8 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .lts import (
-    Action, Engine, _opened, _tie_text, action_to_json, normal_label,
-    render_action,
+    Action, Engine, _opened, action_to_json, normal_label, render_action,
 )
 from .parser import render
 from .syntax import (
@@ -71,39 +65,18 @@ class Verdict:
 
 
 def _normalized_moves(engine: Engine, p: Process, extra_env: frozenset[Name],
-                      avoid_idents: set[str],
-                      derived: bool = False) -> list[tuple[Action, Process]]:
-    """Moves of the nameless ``p`` with normalized labels, in canonical
-    order (:meth:`lts.Engine.ordered`), or with ``derived`` each action's
-    targets in derivation order (:meth:`lts.Engine.moves`); a bound
-    output's target calls its bound names as its label does."""
-    groups = (engine.moves if derived else engine.ordered)(p, extra_env)
+                      avoid_idents: set[str]) -> list[tuple[Action, Process]]:
+    """Moves of the nameless ``p`` with normalized labels, in the order
+    of :meth:`lts.Engine.moves`; a bound output's target calls its bound
+    names as its label does."""
     moves = []
-    for a, targets in groups:
+    for a, targets in engine.moves(p, extra_env):
         a, m = normal_label(a, avoid_idents)
         if m is None:
             moves += [(a, t) for t in targets]
         else:
             moves += [(a, _opened(t, a.objects)) for t in targets]
     return moves
-
-
-def _ranks(engine: Engine, p: Process, extra_env: frozenset[Name],
-           avoid_idents: set[str], label: Action) -> dict:
-    """The canonical rank of each target of the nameless ``p``'s moves
-    labelled ``label`` (see :func:`_normalized_moves`): the key of its
-    action, then its text among that action's targets, the order of
-    :meth:`lts.Engine.ordered`.  Only a target that shares its action is
-    rendered."""
-    ranks: dict = {}
-    for a, targets in engine.moves(p, extra_env):
-        got, m = normal_label(a, avoid_idents)
-        if got is not label:
-            continue
-        for t in targets:
-            rank = (a._sort_key, _tie_text(a, t) if len(targets) > 1 else "")
-            ranks.setdefault(t if m is None else _opened(t, got.objects), rank)
-    return ranks
 
 
 def _normalized_labels(engine: Engine, p: Process, extra_env: frozenset[Name],
@@ -143,7 +116,7 @@ def check(p: Process, q: Process, depth: int,
     q = nameless(q)
     if engine is None:
         engine = Engine()
-    return _verdict(_Game(p, q, engine, _monadic(p, q)).play(p, q, depth), depth)
+    return _verdict(_Game(p, q, engine).play(p, q, depth), depth)
 
 
 def _verdict(link, depth: int) -> Verdict:
@@ -158,32 +131,6 @@ def _verdict(link, depth: int) -> Verdict:
     return Verdict(False, depth, tuple(moves))
 
 
-def _monadic(*roots: Process) -> bool:
-    """Whether every send of ``roots`` has one object and every receive
-    one binder.  Every state reachable from such roots is so too, so no
-    synchronization of theirs can clash on arity."""
-    todo = list(roots)
-    seen = set()
-    while todo:
-        t = todo.pop()
-        if t in seen:
-            continue
-        seen.add(t)
-        kind = type(t)
-        if kind is Prefixed:
-            core = t.prefix
-            while type(core) is Match:
-                core = core.inner
-            if len(core.objects if type(core) is Send else core.binders) != 1:
-                return False
-            todo.append(t.continuation)
-        elif kind is Par:
-            todo += (t.left, t.right)
-        elif kind is Restrict or kind is Repl:
-            todo.append(t.body)
-    return True
-
-
 # What _Game._settle answers for a pair that the game must expand.
 _OPEN = object()
 
@@ -194,29 +141,19 @@ class _Game:
     The memo stays per game: its entries hold only under the game's
     ``base_env``.
 
-    The game's answer is defined by the canonical order of moves, that
-    of :meth:`lts.Engine.ordered`: the attacker's first winning move
-    in that order, and behind it the link of the defender's first reply
-    in that order.  A pair's answer is a function of the pair alone, so
-    the order in which the game visits moves changes which sub-pairs it
-    plays, never an answer, unless a visit meets an arity clash.  With
-    ``derived`` the game visits each label's moves, and the defender's
-    replies, in derivation order (:meth:`lts.Engine.moves`), and asks
-    for the canonical order (:func:`_ranks`) only to name a
-    counterexample: where the attacker wins within a label of two or
-    more moves, or the defender loses to two or more replies.  Only a
-    monadic pair (:func:`_monadic`), which cannot clash, is played so.
+    A pair's answer is the attacker's first winning move in the order
+    of :meth:`lts.Engine.moves`, and behind it the link of the
+    defender's first reply in that order.  It is a function of the pair
+    alone, since that order is.
     """
 
-    __slots__ = ("base_env", "engine", "memo", "derived")
+    __slots__ = ("base_env", "engine", "memo")
 
-    def __init__(self, p: Process, q: Process, engine: Engine,
-                 derived: bool = False):
+    def __init__(self, p: Process, q: Process, engine: Engine):
         self.base_env = frozenset(
             n for n in free_names(p) | free_names(q) if n.is_channel)
         self.engine = engine
         self.memo: dict = {}
-        self.derived = derived
 
     def play(self, a: Process, b: Process, d: int):
         """None if the defender survives ``d`` rounds from ``(a, b)``,
@@ -261,12 +198,11 @@ class _Game:
         generator for :func:`syntax.drive`: it yields each sub-round that
         :meth:`_settle` leaves open."""
         env, avoid = self._scope(a, b)
-        derived = self.derived
         by_label_a: dict = {}
         by_label_b: dict = {}
-        for act, t in _normalized_moves(self.engine, a, env, avoid, derived):
+        for act, t in _normalized_moves(self.engine, a, env, avoid):
             by_label_a.setdefault(act, []).append(t)
-        for act, t in _normalized_moves(self.engine, b, env, avoid, derived):
+        for act, t in _normalized_moves(self.engine, b, env, avoid):
             by_label_b.setdefault(act, []).append(t)
 
         settle = self._settle
@@ -278,12 +214,7 @@ class _Game:
                 if not cands:
                     result = (act, side), None
                     break
-                lost = None
-                visit = targets
-                i = 0
-                while i < len(visit):
-                    t = visit[i]
-                    i += 1
+                for t in targets:
                     links = []
                     for c in cands:
                         x, y = (t, c) if side == "right" else (c, t)
@@ -294,29 +225,11 @@ class _Game:
                             break
                         links.append(sub)
                     else:
-                        lost = links
-                        if not derived or len(targets) == 1 or visit is not targets:
-                            break
-                        # t wins.  The canonically first winner is t or
-                        # one ranked before t that is still untried: try
-                        # those in rank order.
-                        rank = _ranks(self.engine, a if side == "right" else b,
-                                      env, avoid, act)
-                        first = rank[t]
-                        visit = sorted((u for u in targets[i:] if rank[u] < first),
-                                       key=rank.get)
-                        i = 0
-                if lost is None:
-                    continue
-                link = lost[0]
-                if derived and len(cands) > 1:
-                    # the link of the canonically first reply
-                    rank = _ranks(self.engine, b if side == "right" else a,
-                                  env, avoid, act)
-                    link = lost[min(range(len(cands)),
-                                    key=lambda j: rank[cands[j]])]
-                result = (act, side), link
-                break
+                        # t wins; the first reply's link follows it
+                        result = (act, side), links[0]
+                        break
+                if result is not None:
+                    break
             if result is not None:
                 break
         self.memo[(a, b, d)] = result

@@ -2,9 +2,10 @@
 
 Subcommands: ``parse``, ``step``, ``bisim``, ``nonforward``, ``encode``.
 Exit codes: 0 success; 1 a syntax error, another input error (a
-missing, unreadable or non-UTF-8 file, two inputs both read from
-standard input, a depth, budget or count out of range, an ``--env``
-name that is not an identifier) or a
+missing, unreadable or non-UTF-8 file, a process file too few or too
+many, two inputs both read from standard input, options that exclude
+each other, a depth, budget or count out of range, an ``--env`` name
+that is not an identifier) or a
 standard output closed before all of it was written; 2 a
 confidential-fragment violation.
 Output does not depend on what ran earlier in the process, so no
@@ -89,6 +90,8 @@ def cmd_step(args) -> int:
 
 def cmd_bisim(args) -> int:
     if args.laws:
+        if args.file or args.other:
+            raise ValueError("bisim --laws takes no process files")
         report = law_suite(args.seed, args.instances, args.depth)
         text = "\n".join(
             f"{r.name:28s} {'ok' if r.ok else 'FAILED'}"
@@ -97,7 +100,7 @@ def cmd_bisim(args) -> int:
         _emit(args, report.to_json(), text)
         return EXIT_OK
     if not args.file or not args.other:
-        raise SystemExit("bisim needs two process files (or --laws)")
+        raise ValueError("bisim needs two process files (or --laws)")
     p = _parse_file(args, args.file)
     q = _parse_file(args, args.other)
     verdict = check(p, q, args.depth)
@@ -106,6 +109,8 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_nonforward(args) -> int:
+    if args.static and args.witness:
+        raise ValueError("nonforward takes --static or --witness, not both")
     p = _parse_file(args, args.file)
     if args.static:
         g = static_guarantee(p)

@@ -239,5 +239,5 @@ def check_completeness(p: Process, tau_budget: int = 12,
                     del pending[q]
     for q in pending:
         results[q] = EncodingReport(p, q, False, None, None, None)
-    ordered = tuple(results[q] for q in sorted(results, key=render))
-    return CompletenessReport(p, tau_budget, depth, ordered)
+    by_text = tuple(results[q] for q in sorted(results, key=render))
+    return CompletenessReport(p, tau_budget, depth, by_text)

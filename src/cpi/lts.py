@@ -28,17 +28,21 @@ yield no transition, each exact (see :class:`Engine`):
   receive on its subject ready, since no other partner derives one;
 - no bound name is renamed apart, since an index cannot meet a free
   name.
+
+A state's transitions have one order, :meth:`Engine.moves`: actions by
+sort key, and each action's targets in the order the rules derive them.
+It depends only on the nameless state and the environment, and every
+answer that picks one of several moves is defined by it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
-from .parser import _render, render
+from .parser import render
 from .syntax import (
     CHAN, CpiError, Idx, Name, Par, Prefixed, Process, Receive, Repl,
     Restrict, Send, SortError, _group, _name, _Node, _reindex, _remember,
@@ -166,13 +170,6 @@ class Transition:
 
 # The order of actions in a transition set: reads the key kept on the action.
 _action_sort_key = attrgetter("_sort_key")
-
-
-def _tie_text(a: Action, t: Process) -> str:
-    """The text that orders the targets of one action ``a`` of a state:
-    the target rendered, a bound output's holes named as ``a`` names
-    its bound objects."""
-    return _render(t, a.objects) if type(a) is BoundOutAct else render(t)
 
 
 # ---------------------------------------------------------------------------
@@ -352,17 +349,16 @@ class Engine:
     with ``up`` -1, numbered by its first place among the objects) until
     the client names it (:func:`_opened`).
 
-    There is one view of a state's transitions, :meth:`moves`: its
-    distinct actions in sort-key order, each with its distinct targets
-    in the order the rule engine derives them, nothing rendered.  Inside
-    the engine's clients that order is read wherever the answer does not
-    depend on it.  The canonical order, each action's targets sorted by
-    their text (:func:`_tie_text`), is read only where an answer is
-    defined by it: :meth:`successors` and :func:`run_trace`, games on
-    polyadic pairs and a non-forwarding search from a polyadic root
-    (:meth:`ordered`, which sorts each cache entry at most once), and
-    the ranking that names a counterexample or a violation among tied
-    targets.
+    There is one view of a state's transitions, :meth:`moves`, and one
+    order of them: the distinct actions in sort-key order, each with its
+    distinct targets in the order the rule engine derives them, nothing
+    rendered.  That order is read by every client and by
+    :meth:`successors` and :func:`run_trace`, so it defines every answer
+    that picks one of several moves: a counterexample, a violation, a
+    replayed state.  The rule engine derives a state by its structure
+    alone, so the order depends only on the nameless state and the
+    environment: it is the same for alpha-equivalent inputs, and the
+    same whatever the engine derived before.
 
     A client that needs only the labels of a state (the last round of a
     bounded game, the last level of a bounded search) asks
@@ -435,7 +431,7 @@ class Engine:
             hit = self._named_cache[key] = tuple(
                 Transition(a, _name(t, a.objects) if type(a) is BoundOutAct
                            else canonicalize(t), rules)
-                for a, targets in self.ordered(s, env)
+                for a, targets in self.moves(s, env)
                 for t, rules in targets.items())
         return hit
 
@@ -471,37 +467,19 @@ class Engine:
                 f"{clash.offered}") from None
 
     def moves(self, state: Process,
-              env: frozenset[Name]) -> Sequence[tuple[Action, dict]]:
+              env: frozenset[Name]) -> tuple[tuple[Action, dict], ...]:
         """The transitions of the nameless ``state`` with inputs on the
         channels of ``env``, grouped by action: the distinct actions in
-        :meth:`successors` order, each with a dict from its distinct
-        targets to the rules of each one's first derivation.  The targets
-        are in derivation order, or in canonical order once
-        :meth:`ordered` has sorted the entry; a bound output's targets
-        call its bound names by their holes.  No target is rendered."""
+        sort-key order, each with a dict from its distinct targets, in
+        the order the rule engine derives them, to the rules of each
+        one's first derivation.  A bound output's targets call its bound
+        names by their holes.  No target is rendered."""
         state = nameless(state)
         key = (state, env)
         hit = self._moves_cache.get(key)
         if hit is None:
             hit = self._moves_cache[key] = self._groups(state, env)
         return hit
-
-    def ordered(self, state: Process,
-                env: frozenset[Name]) -> Sequence[tuple[Action, dict]]:
-        """:meth:`moves` in canonical order, the order of
-        :meth:`successors`: each action's targets sorted by
-        :func:`_tie_text`, so only a target that shares its action is
-        rendered.  The cache entry is replaced by its sorted form, once:
-        an entry is a tuple in derivation order, a list in canonical
-        order."""
-        state = nameless(state)
-        groups = self.moves(state, env)
-        if type(groups) is tuple:
-            groups = self._moves_cache[(state, env)] = [
-                (a, targets if len(targets) == 1 else
-                 {t: targets[t] for t in sorted(targets, key=partial(_tie_text, a))})
-                for a, targets in groups]
-        return groups
 
     def _groups(self, state: Process, env: frozenset[Name]) -> tuple:
         """The derivations of ``state`` by action, as :meth:`moves` hands
@@ -736,7 +714,8 @@ class Engine:
 
 def successors(p: Process, environment: Iterable[Name] = (),
                include_inputs: bool = True) -> tuple[Transition, ...]:
-    """All transitions of ``p``, deduplicated up to alpha-equivalence.
+    """All transitions of ``p``, deduplicated up to alpha-equivalence,
+    in the order of :meth:`Engine.moves`.
 
     ``environment`` extends the input-instantiation set beyond the free
     channels of ``p``.  Inputs are instantiated only on channels of that
@@ -784,7 +763,7 @@ def _matching_targets(engine: Engine, state: Process, a: Action):
         return
     env = (frozenset(n for n in free if n.is_channel)
            | frozenset(n for n in action_free(a) if n.is_channel))
-    for act, targets in engine.ordered(state, env):
+    for act, targets in engine.moves(state, env):
         got, m = normal_label(act, avoid)
         if got is not want:
             continue

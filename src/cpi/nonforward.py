@@ -9,39 +9,27 @@ searched, and a satisfied verdict covers the same traces as a full
 expansion would.  Confidential-fragment membership gives the same
 guarantee statically.
 
-The search's answer is defined by the canonical order of moves, that of
-:meth:`lts.Engine.successors`: the violation it reports is the first
-found when each level is visited in that order.  A level is sorted by
-the traces of its nodes, and a node is kept by the first parent that
-reaches it, so the order of one action's targets decides only the order
-among nodes that share a trace.  That order is read in two places: where
-nodes that share a trace yield different violations, and where two
-parents that share a trace reach one node by different actions, which
-gives the node the first parent's trace.  A search from a monadic root
-(:func:`bisim._monadic`), which cannot meet an arity clash, therefore
-reads each action's targets in derivation order
-(:meth:`lts.Engine.moves`), and ranks nodes in canonical order only in
-those two places, rendering only targets that share their action.  A
-search from a polyadic root visits every level in canonical order
-(:meth:`lts.Engine.ordered`), so that it meets a clash where the
-canonical search does.
+The search's answer is defined by the engine's one order of moves
+(:meth:`lts.Engine.moves`, the order of :meth:`lts.Engine.successors`):
+the violation it reports is the first found when each level is visited
+in that order.  A level is sorted by the traces of its nodes, stably, and
+a node is kept by the first parent that reaches it in visiting order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .bisim import Verdict, _monadic, check
+from .bisim import Verdict, check
 from .lts import (
-    Action, BoundOutAct, Engine, InAct, OutAct, _opened, _tie_text,
-    action_bound, action_to_json,
+    Action, BoundOutAct, Engine, InAct, OutAct, _opened, action_bound,
+    action_to_json,
 )
 from .syntax import (
-    CpiError, Name, Process, ValidationReport, free_names, nameless,
-    validate_cpi,
+    CpiError, Match, Name, Par, Prefixed, Process, Repl, Restrict, Send,
+    ValidationReport, free_names, nameless, validate_cpi,
 )
 
 
@@ -97,17 +85,36 @@ def _forwarded(action: Action, watch_map: dict,
     return NFViolation(trace + (action,), watch_map[l], len(trace), l)
 
 
-# A node of the search is a list [state, watched, trace, order, parent,
-# action, target, targets, path, claims]: ``watched`` pairs each watched
-# channel with the step that received it, and ``order`` is the
-# _action_sort_key of each action of ``trace``.  The node was first
-# reached from ``parent`` by ``action``, as ``target`` among the parent's
-# ``targets`` of that action; ``path`` is its canonical rank, None until
-# asked (_path); ``claims`` is None, or the (parent, action, target,
-# targets) by which other parents with the parent's trace reach it, one
-# per parent.
-_STATE, _WATCHED, _TRACE, _ORDER, _PARENT, _ACT, _TARGET, _TARGETS, \
-    _PATH, _CLAIMS = range(10)
+# A node of the search is a tuple (state, watched, trace, order):
+# ``watched`` pairs each watched channel with the step that received it,
+# and ``order`` is the _action_sort_key of each action of ``trace``.
+_STATE, _WATCHED, _TRACE, _ORDER = range(4)
+
+
+def _monadic(root: Process) -> bool:
+    """Whether every send of ``root`` has one object and every receive
+    one binder.  Every state reachable from it is so too, so no
+    synchronization of theirs can clash on arity."""
+    todo = [root]
+    seen = set()
+    while todo:
+        t = todo.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        kind = type(t)
+        if kind is Prefixed:
+            core = t.prefix
+            while type(core) is Match:
+                core = core.inner
+            if len(core.objects if type(core) is Send else core.binders) != 1:
+                return False
+            todo.append(t.continuation)
+        elif kind is Par:
+            todo += (t.left, t.right)
+        elif kind is Restrict or kind is Repl:
+            todo.append(t.body)
+    return True
 
 
 def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
@@ -118,29 +125,18 @@ def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
         raise ValueError("depth must be nonnegative")
     engine = Engine()
     root = nameless(p)
-    derived = _monadic(root)
-    view = engine.moves if derived else engine.ordered
-    # Each level is sorted by order, so the nodes that share a trace are
-    # adjacent, in canonical order unless ``derived``.
-    frontier = [[root, (), (), (), None, None, None, None, (), None]]
+    frontier = [(root, (), (), ())]
     seen = {(root, ())}
-    # If ``derived``: the nodes of the next level by key, and those that
-    # two parents with one trace reach by different actions.
-    born: dict = {}
-    ambiguous: list = []
     for _level in range(depth - 1):
         nxt = []
-        for i, node in enumerate(frontier):
-            state, watched, trace = node[:3]
+        for state, watched, trace, order in frontier:
             free = free_names(state)
             watch_map = dict(watched)
             env = frozenset(n for n in free if n.is_channel)
-            for act, targets in view(state, env):
+            for act, targets in engine.moves(state, env):
                 if watched:  # nothing to forward otherwise
                     violation = _forwarded(act, watch_map, trace)
                     if violation is not None:
-                        if derived:
-                            violation = _first_violation(engine, frontier, i, violation)
                         return NFVerdict(False, depth, violation)
                 new_watch = watched
                 kind = type(act)
@@ -157,52 +153,24 @@ def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
                     key = (target, new_watch)
                     if key not in seen:
                         seen.add(key)
-                        child = [target, new_watch, trace + (act,),
-                                 node[_ORDER] + (act._sort_key,), node, act, t,
-                                 targets, None, None]
-                        nxt.append(child)
-                        if derived:
-                            born[key] = child
-                    elif derived:
-                        # Another parent with this trace reaches the node
-                        # too; one with another trace comes first.
-                        child = born.get(key)
-                        if (child is None or child[_PARENT] is node
-                                or child[_PARENT][_TRACE] != trace):
-                            continue
-                        claims = child[_CLAIMS]
-                        if claims is None:
-                            claims = child[_CLAIMS] = []
-                        elif claims[-1][0] is node:
-                            continue
-                        claims.append((node, act, t, targets))
-                        if act is not child[_ACT]:
-                            ambiguous.append(child)
-        for child in ambiguous:
-            # Of the parents that reach it by different actions, the
-            # canonically first keeps the node.
-            parent, act = min(_claims(child), key=_claim_rank)[:2]
-            child[_TRACE] = parent[_TRACE] + (act,)
-            child[_ORDER] = parent[_ORDER] + (act._sort_key,)
-        ambiguous.clear()
-        born.clear()
+                        nxt.append((target, new_watch, trace + (act,),
+                                    order + (act._sort_key,)))
         nxt.sort(key=itemgetter(_ORDER))
         frontier = nxt
         if not frontier:
             break
     if depth:
         # The last step can only complete a violation, so it reads labels:
-        # its targets would start a level that is never searched.  Every
-        # state's labels are derived, watched or not, so a sort error in
-        # the last step is raised as on full successors; a monadic root
-        # meets none.
-        for i, node in enumerate(frontier):
-            if derived and not node[_WATCHED]:
+        # its targets would start a level that is never searched.  The
+        # labels of an unwatched node are derived too, so that a sort
+        # error in the last step is raised as on full successors; a
+        # monadic root meets none, so its unwatched nodes are skipped.
+        monadic = _monadic(root)
+        for node in frontier:
+            if monadic and not node[_WATCHED]:
                 continue
             violation = _violation(engine, node)
             if violation is not None:
-                if derived:
-                    violation = _first_violation(engine, frontier, i, violation)
                 return NFVerdict(False, depth, violation)
     return NFVerdict(True, depth)
 
@@ -220,61 +188,6 @@ def _violation(engine: Engine, node) -> Optional[NFViolation]:
             if violation is not None:
                 return violation
     return None
-
-
-def _first_violation(engine: Engine, frontier: list, i: int,
-                     violation: NFViolation) -> NFViolation:
-    """The violation of the canonically first of the nodes that share the
-    trace of ``frontier[i]``, the first of them with a violation, which
-    is ``violation``.  The nodes are ranked only if their violations
-    differ."""
-    node = frontier[i]
-    found = [(node, violation)]
-    for other in itertools.islice(frontier, i + 1, None):
-        if other[_TRACE] != node[_TRACE]:
-            break
-        v = _violation(engine, other)
-        if v is not None:
-            found.append((other, v))
-    if any(v != violation for _, v in found):
-        violation = min(found, key=lambda nv: _path(nv[0]))[1]
-    return violation
-
-
-def _claims(node) -> list:
-    """The (parent, action, target, targets) by which each parent of
-    ``node``'s group reaches it, the first parent's first."""
-    return [tuple(node[_PARENT:_PATH])] + (node[_CLAIMS] or [])
-
-
-def _claim_rank(claim) -> tuple:
-    """The canonical rank of a ``claim`` of a node against the other
-    claims of the node: its parent's rank, then its action's key."""
-    return _path(claim[0]), claim[1]._sort_key
-
-
-def _path(node) -> tuple:
-    """The canonical rank of ``node`` among the nodes of its level that
-    share its trace: the rank of the parent that keeps it, then the text
-    of its target among that parent's targets of the same action, empty
-    when there is no other.  Ranks are kept on the nodes, and a text is
-    rendered only for a target that shares its action."""
-    todo = [node]
-    while todo:
-        n = todo[-1]
-        if n[_PATH] is not None:
-            todo.pop()
-            continue
-        claims = _claims(n)
-        missing = [c[0] for c in claims if c[0][_PATH] is None]
-        if missing:
-            todo += missing
-            continue
-        parent, act, t, targets = min(claims, key=_claim_rank)
-        n[_PATH] = parent[_PATH] + (
-            _tie_text(act, t) if len(targets) > 1 else "",)
-        todo.pop()
-    return node[_PATH]
 
 
 @dataclass(frozen=True)

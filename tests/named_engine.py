@@ -18,7 +18,6 @@ from cpi.lts import (
     TAU, Action, BoundOutAct, InAct, OutAct, Transition, _action_sort_key,
     _input_candidates,
 )
-from cpi.parser import render
 from cpi.syntax import (
     Name, Par, Prefixed, Process, Receive, Repl, Restrict, Send, SortError,
     canonicalize, free_names, prefix_chain, substitute,
@@ -117,12 +116,9 @@ class NamedEngine:
                             key=_action_sort_key))
 
     def _transitions(self, p: Process, env: frozenset[Name]) -> tuple[Transition, ...]:
-        # Sorted by (_action_sort_key(action), render(target)), computed
-        # group by group.  The key is one-to-one on actions (every name
-        # in an action is a channel), so a group of one action is a run
-        # of that order, and a stable sort of a group keeps the first
-        # occurrence order that the stable sort of the whole kept.  A
-        # target is rendered only to break a tie within its group.
+        # Sorted by _action_sort_key(action), which is one-to-one on
+        # actions (every name in an action is a channel); each action's
+        # targets in the order of their first derivation.
         groups: dict = {}
         for a, t, rl in self._succ(p, env):
             group = groups.get(a)
@@ -134,8 +130,7 @@ class NamedEngine:
         trans = []
         for a in sorted(groups, key=_action_sort_key):
             group = groups[a]
-            targets = sorted(group, key=render) if len(group) > 1 else group
-            trans.extend(Transition(a, t, group[t]) for t in targets)
+            trans.extend(Transition(a, t, group[t]) for t in group)
         return tuple(trans)
 
     # _succ and _input_on derive premises first.  On a cache miss they

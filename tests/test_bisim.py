@@ -11,11 +11,13 @@ import pytest
 
 import cpi
 from cpi.bisim import (
-    ConstructionError, Verdict, _Game, _monadic, _verdict, check,
-    check_proposition1_instance, law_suite,
+    ConstructionError, Verdict, _Game, check, check_proposition1_instance,
+    law_suite,
 )
+from cpi.encoding import encode_with_handlers
 from cpi.gen import random_cpi_process, random_pi_process
 from cpi.lts import BoundOutAct, Engine, InAct, OutAct, TauAct
+from cpi.nonforward import _monadic
 from cpi.parser import PI, parse
 from cpi.syntax import (
     NIL, Par, Prefixed, Receive, Repl, Restrict, Send, SortError,
@@ -321,12 +323,6 @@ def test_label_only_last_round_matches_full_game():
     assert {"left", "right"} <= {side for _, side in steps}
 
 
-def canonical_check(p, q, depth):
-    """``check`` with the game in canonical order, whatever the pair."""
-    p, q = nameless(p), nameless(q)
-    return _verdict(_Game(p, q, Engine()).play(p, q, depth), depth)
-
-
 def _monadic_pairs(rng, count):
     """Seeded monadic pairs in the law suite's shapes and at random: free
     inputs, bound outputs (a restricted channel sent), replication, and
@@ -347,38 +343,57 @@ def _monadic_pairs(rng, count):
     return pairs
 
 
-def test_derivation_order_game_matches_canonical_game(monkeypatch):
-    # check plays a monadic pair in derivation order and consults the
-    # canonical order only to name a counterexample: the verdicts and
-    # counterexamples are those of the canonical game at every depth
-    consulted = 0
-    ranks = cpi.bisim._ranks
+# Closed sources with two receivers on one channel: their translations
+# are polyadic, and a synchronization has two tau targets.
+_TWO_RECEIVERS = ("new a,b,c in (a!<b>.0 | a?(x).x!<c>.0 | a?(y).c!<y>.0)",
+                  "new a,b,c in (a!<b>.0 | a?(y).c!<y>.0 | a?(x).x!<c>.0)",
+                  "new a,b,c in (a!<b>.0 | a?(x).x!<c>.0 | a?(y).c!<c>.0)",
+                  "new a,b,c in (a!<c>.0 | a?(x).x!<c>.0 | a?(y).c!<y>.0)")
 
-    def counted(*args):
-        nonlocal consulted
-        consulted += 1
-        return ranks(*args)
 
-    monkeypatch.setattr(cpi.bisim, "_ranks", counted)
+def _polyadic_tied_pairs():
+    """Polyadic pairs whose moves tie: translations of two-receiver
+    sources, and two receivers of two names on one free channel."""
+    encoded = [encode_with_handlers(parse(t, mode=PI)) for t in _TWO_RECEIVERS]
+    pairs = [(p, q) for p in encoded for q in encoded]
+    twin = parse("a?(x,y).b!<x>.0 | a?(u,v).c!<v>.0", mode=PI)
+    for text in ("a?(u,v).c!<v>.0 | a?(x,y).b!<x>.0",
+                 "a?(x,y).b!<y>.0 | a?(u,v).c!<v>.0",
+                 "a?(x,y).b!<x>.0 | a?(u,v).c!<u>.0 | a!<b,c>.0"):
+        q = parse(text, mode=PI)
+        pairs += [(twin, q), (q, twin)]
+    return pairs
+
+
+def test_derivation_order_game_matches_reference_game():
+    # the game visits moves in derivation order and takes the first
+    # winner and the first reply it meets: the verdicts and
+    # counterexamples are those of the reference game on successors, at
+    # every depth, for monadic pairs and for polyadic pairs whose moves tie
     rng = random.Random(2020)
     pairs = _monadic_pairs(rng, 308)
-    lost = 0
+    monadic = len(pairs)
+    pairs += _polyadic_tied_pairs()
+    lost = polyadic_lost = 0
     for i, (p, q) in enumerate(pairs):
-        assert _monadic(nameless(p), nameless(q)), i
+        assert _monadic(nameless(p)) and _monadic(nameless(q)) or i >= monadic, i
         for depth in (1, 2, 3, 4) if i % 4 == 0 else (1 + i % 4,):
             got = check(p, q, depth)
-            assert got == canonical_check(p, q, depth), (i, depth)
+            assert got == reference_check(p, q, depth), (i, depth)
             lost += not got.bisimilar
+            polyadic_lost += not got.bisimilar and i >= monadic
     assert lost >= 150
-    assert consulted >= 100
+    assert polyadic_lost >= 5
 
 
 def test_monadic_game_renders_no_target(renders):
-    # two receivers on one channel give every input two targets, so the
-    # canonical order ties; a bisimilar monadic pair names no
-    # counterexample and reads no order
-    p = parse("a?(x).b!<x>.0 | a?(y).c!<y>.0", mode=PI)
-    q = parse("a?(y).c!<y>.0 | a?(x).b!<x>.0", mode=PI)
-    assert renders(lambda: check(p, q, 4)) == 0
-    assert check(p, q, 4).bisimilar
-    assert renders(lambda: canonical_check(p, q, 4)) > 0
+    # two receivers on one channel give every input two targets; the
+    # game reads them in derivation order and renders none, for a
+    # monadic pair and for a polyadic one
+    for p, q in (("a?(x).b!<x>.0 | a?(y).c!<y>.0",
+                  "a?(y).c!<y>.0 | a?(x).b!<x>.0"),
+                 ("a?(x,y).b!<x>.0 | a?(u,v).c!<v>.0",
+                  "a?(u,v).c!<v>.0 | a?(x,y).b!<x>.0")):
+        p, q = parse(p, mode=PI), parse(q, mode=PI)
+        assert renders(lambda: check(p, q, 4)) == 0
+        assert check(p, q, 4).bisimilar

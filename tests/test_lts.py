@@ -20,13 +20,14 @@ from cpi.encoding import check_completeness, encode, encode_with_handlers
 from cpi.gen import random_cpi_process, random_pi_process
 from cpi.lts import (
     BoundOutAct, Engine, InAct, NoSuchTransition, OutAct, TAU, TauAct,
-    Transition, _action_sort_key, action_names, render_action, run_trace,
-    successors, tau_reachable,
+    Transition, _action_sort_key, _opened, action_names, render_action,
+    run_trace, successors, tau_reachable,
 )
 from cpi.parser import PI, parse, render
 from cpi.syntax import (
-    NIL, Name, Par, Prefixed, Receive, Repl, Restrict, Send, SortError,
-    canonicalize, chan, free_names, par, prefix_chain, var,
+    NIL, Match, Name, Par, Prefixed, Receive, Repl, Restrict, Send,
+    SortError, canonicalize, chan, free_names, nameless, par, prefix_chain,
+    var,
 )
 
 
@@ -713,9 +714,17 @@ def crowded(rng):
     return Restrict(pool[:1], p) if rng.random() < 0.3 else p
 
 
-def test_successors_sorted_by_action_then_rendered_target():
-    # successors sorts by (action key, rendered target); the engine sorts
-    # action by action and renders only within a group of several targets
+def _named_targets(engine, p, env):
+    """The actions and targets of ``engine.moves`` on ``p`` under ``env``,
+    each target opened on its action's names and canonicalized."""
+    return [(a, canonicalize(_opened(t, a.objects) if type(a) is BoundOutAct
+                             else t))
+            for a, targets in engine.moves(nameless(p), env) for t in targets]
+
+
+def test_successors_sorted_by_action_then_derivation():
+    # successors lists the actions by key, and each action's targets in
+    # the order of Engine.moves, the order the rule engine derives them
     rng = random.Random(1313)
     states = translations()
     for i in range(600):
@@ -734,16 +743,107 @@ def test_successors_sorted_by_action_then_rendered_target():
             every = engine.successors(p, extra)
         except SortError:
             continue
-        for got in (every, engine.successors(p, extra, include_inputs=False)):
-            want = sorted(got, key=lambda tr: (_action_sort_key(tr.action),
-                                               render(tr.target)))
-            assert list(got) == want, (render(p), extra)
+        env = frozenset(n for n in free_names(p) if n.is_channel) | set(extra)
+        for got, env in ((every, env),
+                         (engine.successors(p, extra, include_inputs=False),
+                          frozenset())):
+            keys = [_action_sort_key(tr.action) for tr in got]
+            assert keys == sorted(keys), (render(p), extra)
+            assert ([(tr.action, tr.target) for tr in got]
+                    == _named_targets(engine, p, env)), (render(p), extra)
         actions = [tr.action for tr in every]
         seen["closed" if not free_names(p) else "open"] += 1
         seen["bound"] += any(isinstance(a, BoundOutAct) for a in actions)
         seen["taus"] += actions.count(TAU) > 1
         seen["tied"] += len(set(actions)) < len(actions)
     assert min(seen.values()) >= 40, seen
+
+
+def respelled(p, nests, env=None, count=None):
+    """An alpha-variant of ``p`` built apart from the parser: binder
+    ``n`` is spelled ``n_<i>``, ``i`` counting binders from the root, and
+    with ``nests`` "split" a restriction of several channels is nested
+    single ones, with "join" a restriction right below another joins it."""
+    env = {} if env is None else env
+    count = [0] if count is None else count
+
+    def bind(names):
+        inner = dict(env)
+        for n in names:
+            count[0] += 1
+            inner[n] = Name(n.kind, f"{n.ident}_{count[0]}")
+        return inner, tuple(inner[n] for n in names)
+
+    def again(q, inner=env):
+        return respelled(q, nests, inner, count)
+
+    name = lambda n: env.get(n, n)
+    if isinstance(p, Prefixed):
+        guards, core = prefix_chain(p.prefix)
+        if isinstance(core, Send):
+            pre, inner = Send(name(core.subject), tuple(map(name, core.objects))), env
+        else:
+            inner, binders = bind(core.binders)
+            pre = Receive(name(core.subject), binders)
+        for a, b in reversed(guards):
+            pre = Match(name(a), name(b), pre)
+        return Prefixed(pre, again(p.continuation, inner))
+    if isinstance(p, Par):
+        return Par(again(p.left), again(p.right))
+    if isinstance(p, Repl):
+        return Repl(again(p.body))
+    if isinstance(p, Restrict):
+        inner, ks = bind(p.channels)
+        body = again(p.body, inner)
+        if nests == "join" and isinstance(body, Restrict):
+            return Restrict(ks + body.channels, body.body)
+        if nests == "split":
+            for k in reversed(ks[1:]):
+                body = Restrict((k,), body)
+            ks = ks[:1]
+        return Restrict(ks, body)
+    return p
+
+
+def test_move_order_is_a_function_of_the_alpha_class():
+    # successors gives one tuple for every spelling of a state: its
+    # binders renamed, its nests split or joined, and asked of a fresh
+    # engine or of one warmed by unrelated queries; a sort error names a
+    # restricted channel the same way
+    rng = random.Random(2323)
+    k = chan("k")
+    clash = Restrict((k,), Par(Prefixed(Receive(k, (var("y"), var("z"))), NIL),
+                               Prefixed(Send(k, (k,)), NIL)))
+    states = translations()
+    for i in range(400):
+        if i % 4 == 0:
+            states.append(receivers_under_new(rng))
+        elif i % 4 == 1:
+            states.append(crowded(rng))
+        elif i % 4 == 2:
+            states.append(random_pi_process(rng, rng.randint(2, 10),
+                                            repl_weight=0.08))
+        else:
+            p = rough_process(rng, rng.randint(2, 9))
+            states.append(Par(p, clash) if i % 8 == 7 else p)
+    warm = Engine()
+    seen = {"tied": 0, "split": 0, "joined": 0, "sort errors": 0}
+    for i, p in enumerate(states):
+        extra = EXTRAS[i % len(EXTRAS)]
+        spellings = [p, respelled(p, "split"), respelled(p, "join")]
+        seen["split"] += spellings[1] != respelled(p, None)
+        seen["joined"] += spellings[2] != respelled(p, None)
+        answers = set()
+        for engine, q in [(Engine(), q) for q in spellings] + [(warm, p)]:
+            answers.add(tuple(_engine_answers(engine, q, extra)))
+        assert len(answers) == 1, (render(p), extra)
+        (every, _, _), = answers
+        if every[:1] == (SortError,):
+            seen["sort errors"] += 1
+        else:
+            actions = [tr.action for tr in every]
+            seen["tied"] += len(set(actions)) < len(actions)
+    assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------------------

@@ -64,19 +64,19 @@ class Verdict:
         return f"not bisimilar: {steps}"
 
 
-def _normalized_moves(engine: Engine, p: Process, extra_env: frozenset[Name],
-                      avoid_idents: set[str]) -> list[tuple[Action, Process]]:
-    """Moves of the nameless ``p`` with normalized labels, in the order
-    of :meth:`lts.Engine.moves`; a bound output's target calls its bound
-    names as its label does."""
-    moves = []
+def _moves_by_label(engine: Engine, p: Process, extra_env: frozenset[Name],
+                    avoid_idents: set[str]) -> dict:
+    """The targets of the nameless ``p``'s moves by normalized label, in
+    the order of :meth:`lts.Engine.moves`: the engine's dict, or for bound
+    outputs a new list of the opened targets of all with that label."""
+    by_label: dict = {}
     for a, targets in engine.moves(p, extra_env):
         a, m = normal_label(a, avoid_idents)
-        if m is None:
-            moves += [(a, t) for t in targets]
-        else:
-            moves += [(a, _opened(t, a.objects)) for t in targets]
-    return moves
+        if m is not None:
+            targets = by_label.get(a, []) + [_opened(t, a.objects)
+                                             for t in targets]
+        by_label[a] = targets
+    return by_label
 
 
 def _normalized_labels(engine: Engine, p: Process, extra_env: frozenset[Name],
@@ -112,11 +112,8 @@ def check(p: Process, q: Process, depth: int,
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    p = nameless(p)
-    q = nameless(q)
-    if engine is None:
-        engine = Engine()
-    return _verdict(_Game(p, q, engine).play(p, q, depth), depth)
+    p, q = nameless(p), nameless(q)
+    return _verdict(_Game(p, q, engine or Engine()).play(p, q, depth), depth)
 
 
 def _verdict(link, depth: int) -> Verdict:
@@ -136,9 +133,9 @@ _OPEN = object()
 
 
 class _Game:
-    """One memoised bisimulation game; its memo dies with it.
+    """One memoised bisimulation game; its memo and scopes die with it.
 
-    The memo stays per game: its entries hold only under the game's
+    Both stay per game: their entries hold only under the game's
     ``base_env``.
 
     A pair's answer is the attacker's first winning move in the order
@@ -147,13 +144,14 @@ class _Game:
     alone, since that order is.
     """
 
-    __slots__ = ("base_env", "engine", "memo")
+    __slots__ = ("base_env", "engine", "memo", "scopes")
 
     def __init__(self, p: Process, q: Process, engine: Engine):
         self.base_env = frozenset(
             n for n in free_names(p) | free_names(q) if n.is_channel)
         self.engine = engine
         self.memo: dict = {}
+        self.scopes: dict = {}
 
     def play(self, a: Process, b: Process, d: int):
         """None if the defender survives ``d`` rounds from ``(a, b)``,
@@ -167,11 +165,15 @@ class _Game:
 
     def _scope(self, a: Process, b: Process):
         """The environment of the round from ``(a, b)`` and the idents
-        its bound-output labels avoid."""
-        free = free_names(a) | free_names(b)
-        env = self.base_env | frozenset(n for n in free if n.is_channel)
-        avoid = {n.ident for n in env | free}
-        return env, avoid
+        its bound-output labels avoid, made once per pair of free-name
+        sets; the caller must not change them."""
+        key = (free_names(a), free_names(b))
+        scope = self.scopes.get(key)
+        if scope is None:
+            free = key[0] | key[1]
+            env = self.base_env | frozenset(n for n in free if n.is_channel)
+            scope = self.scopes[key] = env, {n.ident for n in env | free}
+        return scope
 
     def _settle(self, a: Process, b: Process, d: int):
         """What :meth:`play` answers without expanding ``(a, b)``: for an
@@ -179,18 +181,16 @@ class _Game:
         if a == b:
             return None
         key = (a, b, d)
-        memo = self.memo
-        if key in memo:
-            return memo[key]
-        if d > 1:
-            return _OPEN
+        result = self.memo.get(key, _OPEN)
+        if result is not _OPEN or d > 1:
+            return result
         # No round is left after this one, so every reply survives and
         # only a label the other side lacks can win it.
         env, avoid = self._scope(a, b)
         result = _unmatched_label(
             _normalized_labels(self.engine, a, env, avoid),
             _normalized_labels(self.engine, b, env, avoid))
-        memo[key] = result
+        self.memo[key] = result
         return result
 
     def _expand(self, a: Process, b: Process, d: int):
@@ -198,13 +198,8 @@ class _Game:
         generator for :func:`syntax.drive`: it yields each sub-round that
         :meth:`_settle` leaves open."""
         env, avoid = self._scope(a, b)
-        by_label_a: dict = {}
-        by_label_b: dict = {}
-        for act, t in _normalized_moves(self.engine, a, env, avoid):
-            by_label_a.setdefault(act, []).append(t)
-        for act, t in _normalized_moves(self.engine, b, env, avoid):
-            by_label_b.setdefault(act, []).append(t)
-
+        by_label_a = _moves_by_label(self.engine, a, env, avoid)
+        by_label_b = _moves_by_label(self.engine, b, env, avoid)
         settle = self._settle
         result = None
         for attacker, defender, side in ((by_label_a, by_label_b, "right"),

@@ -4,8 +4,8 @@ Subcommands: ``parse``, ``step``, ``bisim``, ``nonforward``, ``encode``.
 Exit codes: 0 success; 1 a syntax error, another input error (a
 missing, unreadable or non-UTF-8 file, a process file too few or too
 many, two inputs both read from standard input, options that exclude
-each other, a depth, budget or count out of range, an ``--env`` name
-that is not an identifier) or a
+each other, an option that its run would ignore, a depth, budget or
+count out of range, an ``--env`` name that is not an identifier) or a
 standard output closed before all of it was written; 2 a
 confidential-fragment violation.
 Output does not depend on what ran earlier in the process, so no
@@ -92,13 +92,17 @@ def cmd_bisim(args) -> int:
     if args.laws:
         if args.file or args.other:
             raise ValueError("bisim --laws takes no process files")
-        report = law_suite(args.seed, args.instances, args.depth)
+        report = law_suite(0 if args.seed is None else args.seed,
+                           25 if args.instances is None else args.instances,
+                           args.depth)
         text = "\n".join(
             f"{r.name:28s} {'ok' if r.ok else 'FAILED'}"
             f"{' (expected failure)' if r.should_fail else ''}"
             for r in report.results)
         _emit(args, report.to_json(), text)
         return EXIT_OK
+    if (args.seed, args.instances) != (None, None):
+        raise ValueError("bisim takes --seed and --instances only with --laws")
     if not args.file or not args.other:
         raise ValueError("bisim needs two process files (or --laws)")
     p = _parse_file(args, args.file)
@@ -109,8 +113,9 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_nonforward(args) -> int:
-    if args.static and args.witness:
-        raise ValueError("nonforward takes --static or --witness, not both")
+    if args.static and (args.witness or args.depth is not None):
+        raise ValueError("nonforward --static takes no --witness or --depth")
+    depth = 5 if args.depth is None else args.depth
     p = _parse_file(args, args.file)
     if args.static:
         g = static_guarantee(p)
@@ -121,11 +126,11 @@ def cmd_nonforward(args) -> int:
     if args.witness:
         q = parse(_read_source(args.witness), mode=CPI,
                   allow_reserved=args.allow_reserved)
-        ev = witness_check(p, q, args.depth)
+        ev = witness_check(p, q, depth)
         _emit(args, ev.to_json(),
               f"{'positive' if ev.positive else 'negative'} evidence at depth {ev.depth}")
         return EXIT_OK
-    v = check_nonforwarding(p, args.depth)
+    v = check_nonforwarding(p, depth)
     if v.satisfied:
         text = f"non-forwarding holds for all traces up to depth {v.depth}"
     else:
@@ -138,9 +143,13 @@ def cmd_nonforward(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    if not args.verify and (args.tau, args.depth) != (None, None):
+        raise ValueError("encode takes --tau and --depth only with --verify")
     p = _parse_file(args, args.file)
     if args.verify:
-        report = check_completeness(p, tau_budget=args.tau, depth=args.depth)
+        report = check_completeness(
+            p, tau_budget=12 if args.tau is None else args.tau,
+            depth=4 if args.depth is None else args.depth)
         lines = [f"source: {render(report.source)}"]
         for r in report.results:
             if r.found:
@@ -187,14 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--depth", type=int, default=4)
     sp.add_argument("--laws", action="store_true",
                     help="run the algebraic law suite instead")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--instances", type=int, default=25)
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--instances", type=int)
     _add_common(sp)
     sp.set_defaults(func=cmd_bisim)
 
     sp = sub.add_parser("nonforward", help="non-forwarding analysis")
     sp.add_argument("file")
-    sp.add_argument("--depth", type=int, default=5)
+    sp.add_argument("--depth", type=int)
     sp.add_argument("--static", action="store_true",
                     help="membership-based guarantee instead of trace search")
     sp.add_argument("--witness",
@@ -208,10 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="compose with handlers for the free channels")
     sp.add_argument("--verify", action="store_true",
                     help="check reduction completeness instead of printing")
-    sp.add_argument("--tau", type=int, default=12,
-                    help="tau budget for --verify")
-    sp.add_argument("--depth", type=int, default=4,
-                    help="bisimulation depth for --verify")
+    sp.add_argument("--tau", type=int,
+                    help="tau budget for --verify (default 12)")
+    sp.add_argument("--depth", type=int,
+                    help="bisimulation depth for --verify (default 4)")
     _add_common(sp, mode_default=PI)
     sp.set_defaults(func=cmd_encode)
     return ap

@@ -113,10 +113,6 @@ Action = Union[OutAct, InAct, BoundOutAct, TauAct]
 TAU = TauAct()
 
 
-def action_bound(a: Action) -> frozenset[Name]:
-    return frozenset(a.bound) if type(a) is BoundOutAct else frozenset()
-
-
 def action_names(a: Action) -> frozenset[Name]:
     if a is TAU:
         return frozenset()
@@ -124,7 +120,8 @@ def action_names(a: Action) -> frozenset[Name]:
 
 
 def action_free(a: Action) -> frozenset[Name]:
-    return action_names(a) - action_bound(a)
+    names = action_names(a)
+    return names - frozenset(a.bound) if type(a) is BoundOutAct else names
 
 
 def action_to_json(a: Action) -> dict:

@@ -24,12 +24,11 @@ from typing import Optional
 
 from .bisim import Verdict, check
 from .lts import (
-    Action, BoundOutAct, Engine, InAct, OutAct, _opened, action_bound,
-    action_to_json,
+    Action, BoundOutAct, Engine, InAct, OutAct, _opened, action_to_json,
 )
 from .syntax import (
-    CpiError, Match, Name, Par, Prefixed, Process, Repl, Restrict, Send,
-    ValidationReport, free_names, nameless, validate_cpi,
+    CpiError, Name, Par, Prefixed, Process, Repl, Restrict, Send,
+    ValidationReport, free_names, nameless, prefix_chain, validate_cpi,
 )
 
 
@@ -66,23 +65,24 @@ class NFVerdict:
                 "violation": self.violation.to_json() if self.violation else None}
 
 
-def _free_output_objects_of(action: Action) -> frozenset[Name]:
-    kind = type(action)
-    if kind is OutAct:
-        return frozenset(action.objects)
-    if kind is BoundOutAct:
-        return frozenset(action.objects) - action_bound(action)
-    return frozenset()
-
-
 def _forwarded(action: Action, watch_map: dict,
                trace: tuple[Action, ...]) -> Optional[NFViolation]:
-    """The violation that ``action`` completes after ``trace``, if any."""
-    emitted = _free_output_objects_of(action) & watch_map.keys()
+    """The violation the output ``action`` completes after ``trace``, if any."""
+    emitted = watch_map.keys() & action.objects
+    if type(action) is BoundOutAct:
+        emitted.difference_update(action.bound)
     if not emitted:
         return None
     l = min(emitted, key=lambda n: n.ident)
     return NFViolation(trace + (action,), watch_map[l], len(trace), l)
+
+
+class _Channels(dict):
+    """The channels among each free-name set asked for, made once."""
+
+    def __missing__(self, free: frozenset[Name]) -> frozenset[Name]:
+        env = self[free] = frozenset(n for n in free if n.is_channel)
+        return env
 
 
 # A node of the search is a tuple (state, watched, trace, order):
@@ -104,9 +104,7 @@ def _monadic(root: Process) -> bool:
         seen.add(t)
         kind = type(t)
         if kind is Prefixed:
-            core = t.prefix
-            while type(core) is Match:
-                core = core.inner
+            core = prefix_chain(t.prefix)[1]
             if len(core.objects if type(core) is Send else core.binders) != 1:
                 return False
             todo.append(t.continuation)
@@ -127,19 +125,20 @@ def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
     root = nameless(p)
     frontier = [(root, (), (), ())]
     seen = {(root, ())}
+    envs = _Channels()
     for _level in range(depth - 1):
         nxt = []
         for state, watched, trace, order in frontier:
             free = free_names(state)
-            watch_map = dict(watched)
-            env = frozenset(n for n in free if n.is_channel)
-            for act, targets in engine.moves(state, env):
-                if watched:  # nothing to forward otherwise
+            watch_map = dict(watched) if watched else {}
+            for act, targets in engine.moves(state, envs[free]):
+                kind = type(act)
+                # nothing is forwarded but by an output of a watched node
+                if watched and (kind is OutAct or kind is BoundOutAct):
                     violation = _forwarded(act, watch_map, trace)
                     if violation is not None:
                         return NFVerdict(False, depth, violation)
                 new_watch = watched
-                kind = type(act)
                 if kind is InAct:
                     extra = tuple(
                         (o, len(trace)) for o in act.objects
@@ -169,24 +168,24 @@ def check_nonforwarding(p: Process, depth: int) -> NFVerdict:
         for node in frontier:
             if monadic and not node[_WATCHED]:
                 continue
-            violation = _violation(engine, node)
+            violation = _violation(engine, node, envs)
             if violation is not None:
                 return NFVerdict(False, depth, violation)
     return NFVerdict(True, depth)
 
 
-def _violation(engine: Engine, node) -> Optional[NFViolation]:
+def _violation(engine: Engine, node, envs: _Channels) -> Optional[NFViolation]:
     """The first violation, in action order, that a step from ``node``
     completes, if any."""
     state, watched = node[_STATE], node[_WATCHED]
-    acts = engine.actions(state, frozenset(
-        n for n in free_names(state) if n.is_channel))
+    acts = engine.actions(state, envs[free_names(state)])
     if watched:
         watch_map = dict(watched)
         for act in acts:
-            violation = _forwarded(act, watch_map, node[_TRACE])
-            if violation is not None:
-                return violation
+            if type(act) is OutAct or type(act) is BoundOutAct:
+                violation = _forwarded(act, watch_map, node[_TRACE])
+                if violation is not None:
+                    return violation
     return None
 
 

@@ -343,6 +343,36 @@ def _monadic_pairs(rng, count):
     return pairs
 
 
+# Two bound outputs on one subject from two restrictions: the engine
+# names their bound channels apart, so they are two of its actions, and
+# the game joins them under one normal label.
+_TWO_EXTRUSIONS = ("new x in a!<x>.0 | new y in a!<y>.b!<y>.0",
+                   "new y in a!<y>.b!<y>.0 | new x in a!<x>.0",
+                   "new x in a!<x>.0 | new y in a!<y>.c!<y>.0",
+                   "new x in a!<x>.b!<x>.0 | new y in a!<y>.0",
+                   "new x in a!<x>.0 | new y in a!<y>.0",
+                   "new x in (a!<x>.0 | a!<x>.b!<x>.0)",
+                   "a?(z).0 | new x in a!<x>.z!<x>.0 | new y in a!<y>.0")
+
+
+def _merging_pairs(rng, count):
+    """Monadic pairs whose states have bound outputs that the game joins
+    under one label: the shapes above, and random continuations of two
+    restricted sends on ``a`` against variants."""
+    a, k, l = chan("a"), chan("k"), chan("l")
+    shapes = [parse(t, mode=PI) for t in _TWO_EXTRUSIONS]
+    pairs = [(p, q) for p in shapes for q in shapes if p is not q]
+    while len(pairs) < count:
+        p = random_pi_process(rng, rng.randint(1, 3), extra_channels=(k,))
+        q = random_pi_process(rng, rng.randint(1, 3), extra_channels=(l,))
+        sent_p = Restrict((k,), Prefixed(Send(a, (k,)), p))
+        sent_q = Restrict((l,), Prefixed(Send(a, (l,)), q))
+        pairs += [(Par(sent_p, sent_q), Par(sent_q, sent_p)),
+                  (Par(sent_p, sent_q), Par(sent_p, sent_p)),
+                  (Par(sent_p, sent_q), sent_p)]
+    return pairs
+
+
 # Closed sources with two receivers on one channel: their translations
 # are polyadic, and a synchronization has two tau targets.
 _TWO_RECEIVERS = ("new a,b,c in (a!<b>.0 | a?(x).x!<c>.0 | a?(y).c!<y>.0)",
@@ -365,13 +395,26 @@ def _polyadic_tied_pairs():
     return pairs
 
 
-def test_derivation_order_game_matches_reference_game():
+def test_derivation_order_game_matches_reference_game(monkeypatch):
     # the game visits moves in derivation order and takes the first
     # winner and the first reply it meets: the verdicts and
     # counterexamples are those of the reference game on successors, at
-    # every depth, for monadic pairs and for polyadic pairs whose moves tie
+    # every depth, for monadic pairs, for pairs whose bound outputs join
+    # under one label, and for polyadic pairs whose moves tie
+    by_label = cpi.bisim._moves_by_label
+    merges = 0
+
+    def counting(engine, p, env, avoid):
+        nonlocal merges
+        got = by_label(engine, p, env, avoid)
+        merges += sum(type(a) is BoundOutAct for a, _ in engine.moves(p, env))
+        merges -= sum(type(a) is BoundOutAct for a in got)
+        return got
+
+    monkeypatch.setattr(cpi.bisim, "_moves_by_label", counting)
     rng = random.Random(2020)
     pairs = _monadic_pairs(rng, 308)
+    pairs += _merging_pairs(rng, 90)
     monadic = len(pairs)
     pairs += _polyadic_tied_pairs()
     lost = polyadic_lost = 0
@@ -384,6 +427,7 @@ def test_derivation_order_game_matches_reference_game():
             polyadic_lost += not got.bisimilar and i >= monadic
     assert lost >= 150
     assert polyadic_lost >= 5
+    assert merges >= 10
 
 
 def test_monadic_game_renders_no_target(renders):

@@ -136,12 +136,19 @@ def test_fresh_start_env(tmp_path):
     ["bisim", "{p}"],
     ["nonforward", "{p}", "--static", "--witness", "{p}"],
     ["bisim", "--laws", "{p}", "{p}"],
+    ["encode", "{p}", "--tau", "5"],
+    ["encode", "{p}", "--depth", "0"],
+    ["bisim", "{p}", "{p}", "--seed", "7"],
+    ["bisim", "{p}", "{p}", "--instances", "3"],
+    ["nonforward", "{p}", "--static", "--depth", "-1"],
 ], ids=["bisim-depth-0", "laws-depth-0", "nonforward-depth-minus-1",
         "directory", "not-utf-8", "env-space", "env-question-mark",
         "env-quote", "verify-tau-minus-1", "laws-instances-0",
         "laws-instances-minus-1", "verify-depth-0-no-reduction",
         "bisim-stdin-twice", "witness-stdin-twice", "bisim-one-file",
-        "static-with-witness", "laws-with-files"])
+        "static-with-witness", "laws-with-files", "tau-without-verify",
+        "depth-without-verify", "seed-without-laws",
+        "instances-without-laws", "static-with-depth"])
 def test_bad_input_exits_1_with_one_error_line(args, tmp_path):
     p = tmp_path / "p.cpi"
     p.write_text("a!<b>.0")

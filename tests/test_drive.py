@@ -9,13 +9,13 @@ import pytest
 
 from cpi import bisim
 from cpi.bisim import (
-    _Game, _normalized_labels, _normalized_moves, _unmatched_label,
-    check_proposition1_instance, law_suite,
+    _Game, _normalized_labels, _unmatched_label, check_proposition1_instance,
+    law_suite,
 )
 from cpi.gen import (
     _POOL, _Scope, random_cpi_process, random_pi_process, random_prefix,
 )
-from cpi.lts import Engine
+from cpi.lts import Engine, _opened, normal_label
 from cpi.parser import render
 from cpi.syntax import (
     NIL, Par, Prefixed, Repl, Restrict, canonicalize, chan, drive,
@@ -48,6 +48,20 @@ def test_drive_answers_each_yield_with_the_return_value():
 
 # ---------------------------------------------------------------------------
 # The game
+
+
+def _normalized_moves(engine, p, extra_env, avoid_idents):
+    """``bisim._normalized_moves`` as it was: the moves of ``p`` as one
+    flat list of (normalized label, target), in the order of
+    ``Engine.moves``, a bound output's targets opened."""
+    moves = []
+    for a, targets in engine.moves(p, extra_env):
+        a, m = normal_label(a, avoid_idents)
+        if m is None:
+            moves += [(a, t) for t in targets]
+        else:
+            moves += [(a, _opened(t, a.objects)) for t in targets]
+    return moves
 
 
 class RecursiveGame:

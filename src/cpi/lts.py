@@ -32,7 +32,9 @@ yield no transition, each exact (see :class:`Engine`):
 A state's transitions have one order, :meth:`Engine.moves`: actions by
 sort key, and each action's targets in the order the rules derive them.
 It depends only on the nameless state and the environment, and every
-answer that picks one of several moves is defined by it.
+answer that picks one of several moves is defined by it, as is the order
+of each level of the tau closure (:func:`tau_levels`).  No state is
+rendered to order anything.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Iterable, Optional, Union
 from .parser import render
 from .syntax import (
     CHAN, CpiError, Idx, Name, Par, Prefixed, Process, Receive, Repl,
-    Restrict, Send, SortError, _group, _name, _Node, _reindex, _remember,
+    Restrict, Send, SortError, _group, _Node, _reindex, _remember,
     _scope, canonicalize, free_names, fresh_names, nameless, prefix_chain,
 )
 
@@ -288,26 +290,14 @@ class _Clash(Exception):
         self.at = None
 
 
-def _named_at(state: Process, at: Process, n) -> str:
-    """The identifier that the canonical form of ``state`` gives the name
-    ``n``, read at the first node ``at`` in traversal order."""
-    if type(n) is Name:
-        return n.ident
-    return _scope(state, at)[1][-1 - n.up][n.pos].ident
-
-
 def _named_output(state: Process, a: BoundOutAct, rules: tuple) -> BoundOutAct:
     """The bound output ``a``, derived at the top of the nameless
     ``state`` by ``rules``, named as the canonical form of ``state``
     names its binders.  The rules, read from the last, are the path from
     ``state`` down to the sending prefix."""
-    t, groups = _scope(state, sides=[r for r in reversed(rules)
-                                     if r == "par-l" or r == "par-r"])
+    t, name = _scope(state, sides=[r for r in reversed(rules)
+                                   if r == "par-l" or r == "par-r"])
     core = prefix_chain(t.prefix)[1]
-
-    def name(n):
-        return n if type(n) is Name else groups[-1 - n.up][n.pos]
-
     objs = tuple(map(name, core.objects))
     return BoundOutAct(name(core.subject), objs,
                        tuple(objs[h.pos] for h in a.bound))
@@ -344,7 +334,9 @@ class Engine:
     the binders it opens, and the actions are in the same order.  The
     target of a bound output calls each bound name by its hole (``Idx``
     with ``up`` -1, numbered by its first place among the objects) until
-    the client names it (:func:`_opened`).
+    the client, or :meth:`successors` before it names the target, fills
+    the holes with names (:func:`_opened`); only a target without holes
+    is named.
 
     There is one view of a state's transitions, :meth:`moves`, and one
     order of them: the distinct actions in sort-key order, each with its
@@ -352,10 +344,12 @@ class Engine:
     rendered.  That order is read by every client and by
     :meth:`successors` and :func:`run_trace`, so it defines every answer
     that picks one of several moves: a counterexample, a violation, a
-    replayed state.  The rule engine derives a state by its structure
-    alone, so the order depends only on the nameless state and the
-    environment: it is the same for alpha-equivalent inputs, and the
-    same whatever the engine derived before.
+    replayed state, and, through the order of each tau level, the
+    witness a completeness check reports.  The rule engine derives a
+    state by its structure alone, so the order depends only on the
+    nameless state and the environment: it is the same for
+    alpha-equivalent inputs, and the same whatever the engine derived
+    before.
 
     A client that needs only the labels of a state (the last round of a
     bounded game, the last level of a bounded search) asks
@@ -426,8 +420,9 @@ class Engine:
         hit = self._named_cache.get(key)
         if hit is None:
             hit = self._named_cache[key] = tuple(
-                Transition(a, _name(t, a.objects) if type(a) is BoundOutAct
-                           else canonicalize(t), rules)
+                Transition(a, canonicalize(_opened(t, a.objects)
+                                          if type(a) is BoundOutAct else t),
+                           rules)
                 for a, targets in self.moves(s, env)
                 for t, rules in targets.items())
         return hit
@@ -458,10 +453,12 @@ class Engine:
         try:
             return self._succ(state, env)
         except _Clash as clash:
+            n = clash.subject
+            if type(n) is not Name:
+                n = _scope(state, clash.at)[1](n)
             raise SortError(
-                f"receive on {_named_at(state, clash.at, clash.subject)!r} "
-                f"has arity {clash.arity}, synchronization offers "
-                f"{clash.offered}") from None
+                f"receive on {n.ident!r} has arity {clash.arity}, "
+                f"synchronization offers {clash.offered}") from None
 
     def moves(self, state: Process,
               env: frozenset[Name]) -> tuple[tuple[Action, dict], ...]:
@@ -812,18 +809,21 @@ class TauReachable:
 
 
 def _tau_targets(engine: Engine, state: Process):
-    """The targets of the nameless ``state``'s tau moves, in any order."""
+    """The targets of the nameless ``state``'s tau moves, in the order
+    of :meth:`Engine.moves`."""
     groups = engine.moves(state, frozenset())
     # tau sorts first
     return groups[0][1] if groups and groups[0][0] is TAU else ()
 
 
 def tau_levels(p: Process, budget: int, engine: Optional[Engine] = None):
-    """Yield the new nameless states found at each tau depth 0..budget,
-    each level in the order of their rendered texts.  A level is found
-    in derivation order (:meth:`Engine.moves`), as a set, and then
-    sorted, so no answer depends on the order of the moves.  A negative
-    ``budget`` raises :class:`ValueError`.
+    """Yield the new nameless states found at each tau depth 0..budget.
+    A level is in the order it is found: its frontier's states in order,
+    each one's tau targets in the order of :meth:`Engine.moves`.  That
+    order depends only on the nameless state, so it is the same for
+    alpha-equivalent inputs and whatever the engine derived before, and
+    no state is rendered.  A negative ``budget`` raises
+    :class:`ValueError`.
 
     ``engine`` lets the caller share one engine with later work on the
     same query; by default the closure gets its own.
@@ -845,8 +845,6 @@ def tau_levels(p: Process, budget: int, engine: Optional[Engine] = None):
                     nxt.append(t)
         if not nxt:
             return
-        if len(nxt) > 1:
-            nxt.sort(key=render)
         yield nxt
         frontier = nxt
 

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import itertools
 import re
+from typing import Optional
 
 from .syntax import (
     CHAN, VAR, CpiError, CpiViolation, Name, NIL, Nil, Par, Prefix, Prefixed,
-    Process, Receive, Repl, Restrict, Send, SortError, _idents, _numbers,
-    _remember, _rollback, prefix_chain, validate_cpi, wrap_matches,
+    Process, Receive, Repl, Restrict, Send, SortError, _idents, _remember,
+    _rollback, canonicalize, prefix_chain, validate_cpi, wrap_matches,
 )
 
 CPI = "cpi"
@@ -323,7 +324,7 @@ def _extends_right(p: Process) -> bool:
 def _render_prefix(pre: Prefix) -> str:
     """The text of ``pre`` with each name printed as its identifier, kept
     on the prefix node unless an index (which prints with a ``^``) is
-    among them."""
+    among them; :func:`render` prints no such text."""
     text = getattr(pre, "_text", None)
     if text is not None:
         return text
@@ -354,74 +355,38 @@ def render(p: Process) -> str:
     Only those nodes are asked for a kept text: on a fresh term every such
     probe misses.
 
-    A nameless term (see :class:`~cpi.syntax.Idx`) is printed as its
-    canonical form is, without building that form: the walk names each
-    binder group as it enters it, by the numbering of
-    :func:`~cpi.syntax.canonicalize`.  A text in which an index was
-    named depends on where its node sits, so it is kept only on the node
-    asked for, as the text of that node printed whole."""
-    return _render(p)
+    The walk prints named terms only.  A nameless term (see
+    :class:`~cpi.syntax.Idx`) is printed as its canonical form, which
+    :func:`~cpi.syntax.canonicalize` names: the walk stops at its first
+    index and prints that form instead."""
+    text = _render(p)
+    return _render(canonicalize(p)) if text is None else text
 
 
-def _render(p: Process, holes: tuple = ()) -> str:
-    """:func:`render`, with hole ``i`` of a bound output's target named
-    ``holes[i]``."""
-    text = getattr(p, "_text", None) if not holes else None
+def _render(p: Process) -> Optional[str]:
+    """The text of the named ``p`` for :func:`render`, or None when an
+    index of a nameless term is met."""
+    text = getattr(p, "_text", None)
     if text is not None:
-        return text if type(text) is str else text[0]
+        return text
     parts: list[str] = []
-    # The names of the binder groups in scope, innermost last; the
-    # numbers they are named by; and the count of indices named so far,
-    # by which a text that named one is not kept.
-    groups: list[tuple[str, ...]] = []
-    numbers = None
-    named = 0
-
-    def ident(n) -> str:
-        nonlocal named
-        if type(n) is Name:
-            return n.ident
-        named += 1
-        return holes[n.pos].ident if n.up < 0 else groups[-1 - n.up][n.pos]
-
-    def enter(group) -> tuple[str, ...]:
-        nonlocal numbers, named
-        if type(group[0]) is Name:
-            return tuple(b.ident for b in group)
-        if numbers is None:
-            numbers = _numbers(p, holes)
-        named += 1
-        group = tuple(next(numbers) for _ in group)
-        groups.append(group)
-        return group
-
     # What is left to print, last first: a string, the right component
-    # of a '|' (as ``[process, scope]`` when a group is in scope there),
-    # or the (node, start, named) of a process to keep, whose text starts
-    # at parts[start].
-    todo: list = [(p, 0, 0)] if not holes else []
+    # of a '|', or the (node, start) of a process to keep, whose text
+    # starts at parts[start].
+    todo: list = [(p, 0)]
     t, keep = p, False
     while True:
         text = getattr(t, "_text", None) if keep else None
-        if type(text) is str:
+        if text is not None:
             parts.append(text)
         else:
             if keep:
-                todo.append((t, len(parts), named))
+                todo.append((t, len(parts)))
             kind = type(t)
             if kind is Prefixed:
-                pre = t.prefix
-                text = _render_prefix(pre)
+                text = _render_prefix(t.prefix)
                 if "^" in text:
-                    # an index printed as itself: name it in scope
-                    guards, core = prefix_chain(pre)
-                    text = "".join(f"[{ident(a)}={ident(b)}]" for a, b in guards)
-                    if type(core) is Send:
-                        text += (f"{ident(core.subject)}!<"
-                                 f"{','.join(map(ident, core.objects))}>")
-                    else:
-                        subject = ident(core.subject)
-                        text += f"{subject}?({','.join(enter(core.binders))})"
+                    return None
                 parts.append(text)
                 t, keep = t.continuation, False
                 if type(t) is Par:
@@ -432,9 +397,7 @@ def _render(p: Process, holes: tuple = ()) -> str:
                 continue
             if kind is Par:
                 l, r = t.left, t.right
-                if groups:
-                    r = [r, len(groups)]
-                if type(t.right) is Par:
+                if type(r) is Par:
                     todo += (")", r, " | (")
                 else:
                     todo += (r, " | ")
@@ -444,10 +407,11 @@ def _render(p: Process, holes: tuple = ()) -> str:
                 t, keep = l, type(l) is not Par
                 continue
             if kind is Restrict:
-                names = list(enter(t.channels))
-                t = t.body
+                names = []
                 while type(t) is Restrict:
-                    names.extend(enter(t.channels))
+                    if type(t.channels[0]) is not Name:
+                        return None
+                    names += (k.ident for k in t.channels)
                     t = t.body
                 parts.append(f"new {','.join(names)} in ")
                 keep = False
@@ -466,22 +430,12 @@ def _render(p: Process, holes: tuple = ()) -> str:
             if kind is str:
                 parts.append(item)
             elif kind is tuple:
-                node, start, before = item
+                node, start = item
                 text = "".join(parts[start:])
                 parts[start:] = (text,)
-                if named == before:
-                    _remember(node, "_text", text)
-                elif node is p:
-                    # the text of ``p`` as a whole, not as a part
-                    _remember(node, "_text", (text,))
+                _remember(node, "_text", text)
             else:
                 # a right component of '|', kept unless itself a '|'
-                if kind is list:
-                    item, scope = item
-                    del groups[scope:]
-                    kind = type(item)
-                elif groups:
-                    groups.clear()
                 t, keep = item, kind is not Par
                 break
         else:

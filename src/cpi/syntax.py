@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
 
 CHAN = "chan"
 VAR = "var"
@@ -234,8 +234,9 @@ class Idx(_Node):
     Terms whose binders are indices are *nameless*: alpha-equivalent
     nameless terms are the same node, and only free names stay
     :class:`Name` s.  A nameless nest of restrictions is one node, whose
-    body is not a restriction.  :func:`nameless` makes one, :func:`canonicalize` and
-    ``parser.render`` name one as the canonical form is named."""
+    body is not a restriction.  :func:`nameless` makes one, and only
+    :func:`_name` (under :func:`canonicalize`) and :func:`_scope` give its
+    indices names; ``parser.render`` prints the canonical form."""
 
     __slots__ = __match_args__ = ("kind", "up", "pos")
 
@@ -247,7 +248,8 @@ class Idx(_Node):
     def ident(self) -> str:
         # Read by an action's sort key inside the rule engine (a
         # transition handed to a client names its actions first), and by
-        # parser.render, which names a prefix printed with a '^'.
+        # parser.render, which takes a prefix printed with a '^' for a
+        # nameless term and prints its canonical form instead.
         return f"^{self.up}.{self.pos}"
 
 
@@ -946,46 +948,19 @@ def _reindex(t: Process, levels: tuple = (), shift: int = 0,
     return _walk(t, enter, name, mark, restore)
 
 
-def _holes(t: Process) -> set[int]:
-    """The places of the holes that occur in ``t``."""
-    out = set()
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        kind = type(t)
-        if kind is Prefixed:
-            pre = t.prefix
-            names = []
-            while type(pre) is Match:
-                names += (pre.lhs, pre.rhs)
-                pre = pre.inner
-            names.append(pre.subject)
-            if type(pre) is Send:
-                names += pre.objects
-            out.update(n.pos for n in names if type(n) is Idx and n.up < 0)
-            todo.append(t.continuation)
-        elif kind is Par:
-            todo += (t.right, t.left)
-        elif kind is Restrict or kind is Repl:
-            todo.append(t.body)
-    return out
-
-
-def _numbers(t: Process, holes: tuple = ()) -> Iterator[str]:
+def _numbers(t: Process) -> Iterator[str]:
     """The identifiers that name the binders of the nameless ``t`` in
     traversal order, as :func:`canonicalize` numbers them: ``#0, #1,
-    ...``, skipping the identifiers free in ``t``, where a hole ``i``
-    that occurs is the free name ``holes[i]``."""
-    avoid = {n.ident for n in free_names(t)}
-    if holes:
-        avoid.update(holes[i].ident for i in _holes(t))
-    return _idents("#", avoid, itertools.count())
+    ...``, skipping the identifiers free in ``t``."""
+    return _idents("#", {n.ident for n in free_names(t)}, itertools.count())
 
 
-def _name(t: Process, holes: tuple = ()) -> Process:
+def _name(t: Process) -> Process:
     """The canonical form of the nameless ``t``: binders named by
-    :func:`_numbers`, where hole ``i`` is the free name ``holes[i]``."""
-    numbers = _numbers(t, holes)
+    :func:`_numbers`.  A hole has no binder, so naming one raises
+    :class:`IndexError`: a bound output's target is named only once
+    :func:`~cpi.lts._opened` has filled its holes."""
+    numbers = _numbers(t)
     groups: list[tuple[Name, ...]] = []
 
     def enter(group):
@@ -996,9 +971,7 @@ def _name(t: Process, holes: tuple = ()) -> Process:
     def name(n):
         if type(n) is Name:
             return n
-        if n.up < 0:
-            return holes[n.pos]
-        return groups[-1 - n.up][n.pos]
+        return groups[len(groups) - 1 - n.up][n.pos]
 
     def mark():
         return len(groups)
@@ -1010,9 +983,10 @@ def _name(t: Process, holes: tuple = ()) -> Process:
 
 
 def _scope(t: Process, at: Optional[Process] = None,
-           sides: Iterable[str] = ()) -> tuple[Process, list[tuple[Name, ...]]]:
-    """A node of the nameless ``t`` and the binder groups in scope there,
-    outermost first, named as :func:`_name` names them.  The node is the
+           sides: Iterable[str] = ()) -> tuple[Process, Callable]:
+    """A node of the nameless ``t`` and the naming of the names in scope
+    there, as :func:`_name` names them: a function from a name read at
+    the node to its name in the canonical form of ``t``.  The node is the
     first ``at`` in traversal order or, without ``at``, the first prefix
     reached by taking ``sides`` (each ``"par-l"`` or ``"par-r"``) at the
     '|'s on the way down.  The walk counts the binders it passes in
@@ -1029,9 +1003,14 @@ def _scope(t: Process, at: Optional[Process] = None,
         while True:
             if on and (u is at if at is not None else type(u) is Prefixed):
                 idents = list(itertools.islice(_numbers(t), used))
-                return u, [tuple(Name(kind, i)
-                                 for i in idents[first:first + size])
-                           for kind, first, size in groups]
+                named = [tuple(Name(kind, i) for i in idents[first:first + size])
+                         for kind, first, size in groups]
+
+                def name(n):
+                    if type(n) is Name:
+                        return n
+                    return named[len(named) - 1 - n.up][n.pos]
+                return u, name
             kind = type(u)
             if kind is Prefixed:
                 core = prefix_chain(u.prefix)[1]

@@ -19,7 +19,7 @@ from cpi.encoding import (
     encode, encode_with_handlers, handler, renaming_policy, source_reductions,
 )
 from cpi.gen import random_pi_process
-from cpi.lts import tau_levels
+from cpi.lts import Engine, tau_levels
 from cpi.parser import PI, parse, render
 from cpi.syntax import (
     Match, Name, Par, Prefixed, Receive, Repl, ReservedNameError, Restrict,
@@ -222,6 +222,33 @@ def test_completeness_independent_of_history():
     here = [check_completeness(parse(t, mode=PI), 12, 4).to_json()
             for t in texts]
     assert here == json.loads(fresh)
+
+
+def test_tau_levels_render_no_state(renders):
+    # a level is in the order it is found, so the closure prints nothing
+    for f in ENCODING_CORPUS:
+        enc = encode_with_handlers(parse(f.read_text(), mode=PI))
+        assert renders(lambda: list(tau_levels(enc, 12))) == 0, f.name
+
+
+def test_tau_level_order_is_a_function_of_the_alpha_class():
+    # each level is in the same order for a translation, for an
+    # alpha-variant of it (its binders renamed, each 'new k,n,m' split
+    # into single restrictions), and on an engine that derived other
+    # states first
+    warm = Engine()
+    list(tau_levels(encode_with_handlers(parse(REPLICATED_CONTINUATION,
+                                               mode=PI)), 12, warm))
+    wide = 0
+    for f in ENCODING_CORPUS:
+        enc = encode_with_handlers(parse(f.read_text(), mode=PI))
+        variant = _rename_reserved_binders(canonicalize(enc))
+        assert render(variant) != render(enc), f.name
+        levels = list(tau_levels(enc, 12))
+        assert list(tau_levels(variant, 12)) == levels, f.name
+        assert list(tau_levels(enc, 12, warm)) == levels, f.name
+        wide += sum(len(level) > 1 for level in levels)
+    assert wide >= 10, wide
 
 
 # ---------------------------------------------------------------------------

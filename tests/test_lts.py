@@ -250,6 +250,18 @@ def test_tau_reachable():
     assert r2.exceeded and len(r2.states) == 2
 
 
+def test_a_hole_is_named_only_once_opened():
+    # a bound output's target calls the name it opens by a hole, here
+    # under a binder of its own; naming the target before the client
+    # names the hole raises rather than take that binder for it
+    p = parse("new k in a!<k>.new m in k!<m>.0", mode=PI)
+    ((a, targets),) = Engine().moves(nameless(p), frozenset(free_names(p)))
+    (t,) = targets
+    with pytest.raises(IndexError):
+        canonicalize(t)
+    assert render(canonicalize(_opened(t, a.objects))) == "new #1 in #0!<#1>.0"
+
+
 def test_engine_path_names_only_roots_and_reported_states(monkeypatch):
     # states inside the engine are nameless, so the namer of a nameless
     # state runs only for the root and for a state a report prints, at

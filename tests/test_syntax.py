@@ -765,8 +765,9 @@ def test_parse_builds_the_canonical_form(monkeypatch):
 
 def test_nameless_form_names_back_to_the_canonical_form():
     # alpha-equivalent terms have one nameless form, and naming it gives
-    # the canonical form and its text, numbered past the free '#k' names;
-    # the forms keep no reference cycle for the cyclic GC to free
+    # the canonical form and its text, numbered past the free '#k' names,
+    # each time it is printed; the forms keep no reference cycle for the
+    # cyclic GC to free
     cases = list(itertools.islice(_canonicalize_cases(), 1500))
     gc.collect()
     gc.disable()
@@ -776,7 +777,8 @@ def test_nameless_form_names_back_to_the_canonical_form():
             n = nameless(p)
             assert nameless(c) is n and nameless(n) is n, render(p)
             assert free_names(n) == free_names(c), render(p)
-            assert render(n) == render(c), render(p)
+            text = render(c)
+            assert render(n) == text and render(n) == text, render(p)
             assert canonicalize(n) is c, render(p)
         del p, c, n, cases
         assert gc.collect() == 0
